@@ -21,7 +21,6 @@ from .gamma import (
     parse_group,
 )
 from .presheaf import (
-    Cell,
     F2ChainComplex,
     FiniteThetaSet,
     cell_census,

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import euler_char, fib_numbers
@@ -25,15 +24,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
-
-
-@dataclass
-class RunConfig:
-    n: int
-    group: str
-    max_dim: int
-    format: str = "csv"
-    seed: int = 0
 
 
 def _emit_table(header: tuple[str, str], rows: list[tuple], fmt: str) -> None:
@@ -57,22 +47,20 @@ def cmd_trees(args) -> int:
 
 
 def cmd_em(args) -> int:
-    pi = parse_group(args.group)
-    config = RunConfig(args.n, args.group, args.max_dim, args.format)
-    x_set = em_set(pi, config.n, config.max_dim)
+    x_set = em_set(args.group, args.n)
     if args.em_command == "cells":
-        census = cell_census(x_set, config.max_dim)
-        rows = [(d, census[d]) for d in range(config.max_dim + 1)]
-        _emit_table(("dimension", "count"), rows, config.format)
+        census = cell_census(x_set, args.max_dim)
+        rows = [(d, census[d]) for d in range(args.max_dim + 1)]
+        _emit_table(("dimension", "count"), rows, args.format)
         return EXIT_OK
+    if args.oracle and args.n > 2:
+        print(f"oracle unsupported for n={args.n}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     # homology: degree d needs the boundary in degree d+1
-    complex_ = chain_complex(x_set, config.max_dim)
-    betti = [homology_f2(complex_, d) for d in range(config.max_dim)]
+    complex_ = chain_complex(x_set, args.max_dim)
+    betti = [homology_f2(complex_, d) for d in range(args.max_dim)]
     if args.oracle:
-        if config.n > 2:
-            print(f"oracle unsupported for n={config.n}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-        expected = oracle_multisimplicial(pi, config.n, config.max_dim)
+        expected = oracle_multisimplicial(args.group, args.n, args.max_dim)
         for d, (ours, want) in enumerate(zip(betti, expected)):
             if ours != want:
                 print(
@@ -81,14 +69,11 @@ def cmd_em(args) -> int:
                 )
                 return EXIT_MISMATCH
     rows = list(enumerate(betti))
-    _emit_table(("degree", "betti_f2"), rows, config.format)
+    _emit_table(("degree", "betti_f2"), rows, args.format)
     return EXIT_OK
 
 
 def cmd_count(args) -> int:
-    if args.order < 2:
-        print("group order must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
     if args.count_command == "fib":
         values = fib_numbers(args.n, args.order, args.terms - 1)
         _emit_table(("k", "f"), list(enumerate(values)), args.format)
@@ -115,6 +100,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_MISMATCH
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer that is at least low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thetacomb",
@@ -123,8 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_trees = sub.add_parser("trees", help="enumerate level-trees")
-    p_trees.add_argument("--n", type=int, required=True, help="height bound")
-    p_trees.add_argument("--edges", type=int, required=True)
+    p_trees.add_argument("--n", type=_int_at_least(0), required=True,
+                         help="height bound")
+    p_trees.add_argument("--edges", type=_int_at_least(0), required=True)
     p_trees.add_argument("--pruned", action="store_true",
                          help="only trees with all leaves at height n")
     p_trees.set_defaults(func=cmd_trees)
@@ -133,9 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     em_sub = p_em.add_subparsers(dest="em_command", required=True)
     for name in ("cells", "homology"):
         p = em_sub.add_parser(name)
-        p.add_argument("--n", type=int, required=True, help="level")
-        p.add_argument("--group", required=True, help='e.g. "z2", "z2xz4"')
-        p.add_argument("--max-dim", type=int, required=True, dest="max_dim")
+        p.add_argument("--n", type=_int_at_least(1), required=True,
+                       help="level")
+        p.add_argument("--group", type=parse_group, required=True,
+                       help='e.g. "z2", "z2xz4"')
+        p.add_argument("--max-dim", type=_int_at_least(0), required=True,
+                       dest="max_dim")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "homology":
             p.add_argument("--oracle", action="store_true",
@@ -145,14 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="Fibonacci counts and Euler characteristic")
     count_sub = p_count.add_subparsers(dest="count_command", required=True)
     p_fib = count_sub.add_parser("fib")
-    p_fib.add_argument("--n", type=int, required=True)
-    p_fib.add_argument("--order", type=int, required=True, help="group order p")
-    p_fib.add_argument("--terms", type=int, default=6)
+    p_fib.add_argument("--n", type=_int_at_least(1), required=True)
+    p_fib.add_argument("--order", type=_int_at_least(2), required=True,
+                       help="group order p")
+    p_fib.add_argument("--terms", type=_int_at_least(1), default=6)
     p_fib.add_argument("--format", choices=("csv", "json"), default="csv")
     p_fib.set_defaults(func=cmd_count)
     p_euler = count_sub.add_parser("euler")
-    p_euler.add_argument("--n", type=int, required=True)
-    p_euler.add_argument("--order", type=int, required=True)
+    p_euler.add_argument("--n", type=_int_at_least(1), required=True)
+    p_euler.add_argument("--order", type=_int_at_least(2), required=True)
     p_euler.set_defaults(func=cmd_count)
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
@@ -178,6 +183,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "trees" and args.pruned and args.n < 1:
+            parser.error("trees --pruned needs --n >= 1")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

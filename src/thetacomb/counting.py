@@ -139,7 +139,4 @@ def gf_coefficients(g: RationalGF, max_degree: int) -> list[int]:
 def euler_char(n: int, p: int) -> Fraction:
     """Virtual Euler characteristic: gf_em(n,p) evaluated at t = -1;
     equals p for even n and 1/p for odd n."""
-    value = gf_em(n, p).evaluate(Fraction(-1))
-    expected = Fraction(p) if n % 2 == 0 else Fraction(1, p)
-    assert value == expected, f"euler characteristic {value} != {expected}"
-    return value
+    return gf_em(n, p).evaluate(Fraction(-1))

@@ -11,10 +11,9 @@ and an independent (multi)simplicial oracle for the homology.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .gamma import FiniteAbelianGroup, h_pi_act
 from .theta import (
@@ -29,39 +28,20 @@ from .theta import (
 from .trees import LEAF, LevelTree, enumerate_trees, is_pruned, vertices_at_height
 
 
-@dataclass(frozen=True)
-class Cell:
-    """A tree together with labels for its height-n vertices, in planar
-    order; the elements of K(pi,n)."""
-
-    tree: LevelTree
-    labels: tuple
-
-    @property
-    def dimension(self) -> int:
-        return self.tree.edges
-
-
 @dataclass
 class FiniteThetaSet:
-    """Lazy presheaf on Theta_n, truncated at dimension dim_bound."""
+    """Lazy presheaf on Theta_n: eval lists the elements over a tree and
+    act(f, x) pulls x back along the operator f."""
 
     level: int
-    dim_bound: int
-    eval_tree: Callable[[LevelTree], list]
-    action: Callable[[ThetaOperator, object], object]
+    eval: Callable[[LevelTree], list]
+    act: Callable[[ThetaOperator, object], object]
     # optional fast paths for non-degenerate cells (used by K(pi,n))
     nondeg_count: Optional[Callable[[LevelTree], int]] = None
     nondeg_elements: Optional[Callable[[LevelTree], list]] = None
 
-    def eval(self, tree: LevelTree) -> list:
-        return self.eval_tree(tree)
 
-    def act(self, f: ThetaOperator, x):
-        return self.action(f, x)
-
-
-def em_set(pi: FiniteAbelianGroup, n: int, dim_bound: int) -> FiniteThetaSet:
+def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:
     """The Eilenberg-MacLane Theta_n-set K(pi,n)."""
     if n < 1:
         raise ValueError("level n must be >= 1")
@@ -88,13 +68,10 @@ def em_set(pi: FiniteAbelianGroup, n: int, dim_bound: int) -> FiniteThetaSet:
         k = len(vertices_at_height(tree, n))
         return list(itertools.product(pi.non_neutral(), repeat=k))
 
-    return FiniteThetaSet(n, dim_bound, eval_tree, action,
-                          nondeg_count, nondeg_elements)
+    return FiniteThetaSet(n, eval_tree, action, nondeg_count, nondeg_elements)
 
 
-def product_set(
-    s: LevelTree, t: LevelTree, n: int, dim_bound: int
-) -> FiniteThetaSet:
+def product_set(s: LevelTree, t: LevelTree, n: int) -> FiniteThetaSet:
     """The product of representables Theta_n[S] x Theta_n[T]: elements over
     U are pairs of operators U -> S, U -> T acting by precomposition."""
 
@@ -107,7 +84,7 @@ def product_set(
         a, b = x
         return (compose_theta(a, f), compose_theta(b, f))
 
-    return FiniteThetaSet(n, dim_bound, eval_tree, action)
+    return FiniteThetaSet(n, eval_tree, action)
 
 
 def is_nondegenerate(x_set: FiniteThetaSet, tree: LevelTree, x) -> bool:
@@ -161,7 +138,7 @@ def cell_census(x_set: FiniteThetaSet, dim_bound: int) -> dict[int, int]:
 def product_census(
     s: LevelTree, t: LevelTree, n: int, dim_bound: int
 ) -> dict[int, int]:
-    return cell_census(product_set(s, t, n, dim_bound), dim_bound)
+    return cell_census(product_set(s, t, n), dim_bound)
 
 
 # --- mod-2 cellular chains --------------------------------------------
@@ -175,11 +152,43 @@ class BoundarySquareError(AssertionError):
 class F2ChainComplex:
     """Basis cells per degree and boundary matrices over F2; the matrix in
     degree d has one bitmask row per degree-d cell, bits indexed by the
-    degree-(d-1) basis."""
+    degree-(d-1) basis, and ranks[d] is its rank."""
 
     dim_bound: int
-    basis: list[list[tuple[LevelTree, object]]]
+    basis: list[list]
     boundary: list[list[int]]
+    ranks: list[int]
+
+
+def _f2_chains(
+    basis: list[list], faces: Callable[[int, object], Iterable]
+) -> F2ChainComplex:
+    """The F2 chain complex on the given basis layers, where faces(d, cell)
+    yields the non-degenerate codimension-1 faces of a degree-d cell (with
+    multiplicity; they are summed mod 2).  Checks that the boundary squares
+    to zero and ranks each boundary once."""
+    index = [{cell: i for i, cell in enumerate(layer)} for layer in basis]
+    boundary: list[list[int]] = [[0] * len(basis[0])]  # degree 0 maps to zero
+    for d in range(1, len(basis)):
+        lower = index[d - 1]
+        rows = []
+        for cell in basis[d]:
+            row = 0
+            for face in faces(d, cell):
+                row ^= 1 << lower[face]
+            rows.append(row)
+        boundary.append(rows)
+    for d in range(2, len(basis)):
+        for row, cell in zip(boundary[d], basis[d]):
+            acc = 0
+            while row:
+                low = row & -row
+                acc ^= boundary[d - 1][low.bit_length() - 1]
+                row ^= low
+            if acc:
+                raise BoundarySquareError(f"boundary squared nonzero on {cell}")
+    ranks = [gf2_rank(rows) for rows in boundary]
+    return F2ChainComplex(len(basis) - 1, basis, boundary, ranks)
 
 
 @lru_cache(maxsize=None)
@@ -195,10 +204,11 @@ def chain_complex(x_set: FiniteThetaSet, dim_bound: int) -> F2ChainComplex:
     summands that stay non-degenerate; checks that the boundary squares
     to zero."""
     n = x_set.level
+    trees = [enumerate_trees(n, d) for d in range(dim_bound + 1)]
     basis: list[list[tuple[LevelTree, object]]] = []
-    for d in range(dim_bound + 1):
+    for layer_trees in trees:
         layer = []
-        for tree in enumerate_trees(n, d):
+        for tree in layer_trees:
             if x_set.nondeg_elements is not None:
                 layer.extend((tree, x) for x in x_set.nondeg_elements(tree))
             else:
@@ -208,52 +218,28 @@ def chain_complex(x_set: FiniteThetaSet, dim_bound: int) -> F2ChainComplex:
                     if is_nondegenerate(x_set, tree, x)
                 )
         basis.append(layer)
-    index = [
-        {cell: i for i, cell in enumerate(layer)} for layer in basis
-    ]
-    boundary: list[list[int]] = [[0] * len(basis[0])]  # degree 0 maps to zero
-    for d in range(1, dim_bound + 1):
-        rows = []
-        for tree, x in basis[d]:
-            hits: Counter = Counter()
-            for small in enumerate_trees(n, d - 1):
-                for face in _faces_between(small, tree, n):
-                    y0 = x_set.act(face, x)
-                    core_tree, _, y = reduce_element(x_set, small, y0)
-                    if core_tree.edges == d - 1:
-                        hits[(core_tree, y)] += 1
-            row = 0
-            for cell, count in hits.items():
-                if count % 2:
-                    row |= 1 << index[d - 1][cell]
-            rows.append(row)
-        boundary.append(rows)
-    for d in range(2, dim_bound + 1):
-        for row, cell in zip(boundary[d], basis[d]):
-            acc = 0
-            bits = row
-            while bits:
-                i = (bits & -bits).bit_length() - 1
-                acc ^= boundary[d - 1][i]
-                bits &= bits - 1
-            if acc:
-                raise BoundarySquareError(
-                    f"boundary squared nonzero on {cell[0]} / {cell[1]}"
-                )
-    return F2ChainComplex(dim_bound, basis, boundary)
+
+    def faces(d: int, cell: tuple[LevelTree, object]) -> Iterator:
+        tree, x = cell
+        for small in trees[d - 1]:
+            for face in _faces_between(small, tree, n):
+                core_tree, _, y = reduce_element(x_set, small, x_set.act(face, x))
+                if core_tree.edges == d - 1:
+                    yield core_tree, y
+
+    return _f2_chains(basis, faces)
 
 
 def gf2_rank(rows: list[int]) -> int:
-    rank = 0
-    pivots: list[int] = []
+    pivots: dict[int, int] = {}  # leading bit -> the pivot row with it
     for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
+        while row:
+            pivot = pivots.get(row.bit_length())
+            if pivot is None:
+                pivots[row.bit_length()] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 def homology_f2(complex_: F2ChainComplex, degree: int) -> int:
@@ -263,118 +249,81 @@ def homology_f2(complex_: F2ChainComplex, degree: int) -> int:
             f"degree {degree} needs boundary {degree + 1} beyond the "
             f"truncation {complex_.dim_bound}"
         )
-    kernel = len(complex_.basis[degree]) - gf2_rank(complex_.boundary[degree])
-    return kernel - gf2_rank(complex_.boundary[degree + 1])
+    kernel = len(complex_.basis[degree]) - complex_.ranks[degree]
+    return kernel - complex_.ranks[degree + 1]
 
 
 # --- independent (multi)simplicial oracle ------------------------------
 
 
-def _nerve_betti(pi: FiniteAbelianGroup, dim_bound: int) -> list[int]:
+def _bar_faces(x: tuple, add: Callable) -> Iterator[tuple]:
+    """The faces of a k-simplex [x_1|...|x_k] of a nerve: drop x_1, merge
+    x_i and x_{i+1} by add, drop x_k."""
+    yield x[1:]
+    for i in range(1, len(x)):
+        yield x[: i - 1] + (add(x[i - 1], x[i]),) + x[i + 1 :]
+    yield x[:-1]
+
+
+def _nerve_chains(pi: FiniteAbelianGroup, dim_bound: int) -> F2ChainComplex:
     """Normalized F2 chains of the classical nerve of pi, built directly
     from the group multiplication."""
+    neutral = pi.neutral
+
+    def faces(k: int, x: tuple) -> Iterator[tuple]:
+        return (face for face in _bar_faces(x, pi.add) if neutral not in face)
+
     basis = [
         list(itertools.product(pi.non_neutral(), repeat=k))
         for k in range(dim_bound + 1)
     ]
-    index = [{x: i for i, x in enumerate(layer)} for layer in basis]
-    neutral = pi.neutral
-    boundary: list[list[int]] = [[0] * len(basis[0])]
-    for k in range(1, dim_bound + 1):
-        rows = []
-        for x in basis[k]:
-            hits: Counter = Counter()
-            for i in range(k + 1):
-                if i == 0:
-                    face = x[1:]
-                elif i == k:
-                    face = x[:-1]
-                else:
-                    face = x[: i - 1] + (pi.add(x[i - 1], x[i]),) + x[i + 1 :]
-                if neutral not in face:
-                    hits[face] += 1
-            row = 0
-            for face, count in hits.items():
-                if count % 2:
-                    row |= 1 << index[k - 1][face]
-            rows.append(row)
-        boundary.append(rows)
-    return [
-        (len(basis[d]) - gf2_rank(boundary[d])) - gf2_rank(boundary[d + 1])
-        for d in range(dim_bound)
-    ]
+    return _f2_chains(basis, faces)
 
 
-def _double_nerve_betti(pi: FiniteAbelianGroup, dim_bound: int) -> list[int]:
-    """F2 Betti numbers of the double nerve of pi (the bisimplicial set
-    underlying K(pi,2) pulled back along the bi-simplicial diagonal),
-    via the total complex of its doubly-normalized chains.
+def _double_nerve_chains(
+    pi: FiniteAbelianGroup, dim_bound: int
+) -> F2ChainComplex:
+    """The total complex of the doubly-normalized F2 chains of the double
+    nerve of pi (the bisimplicial set underlying K(pi,2) pulled back along
+    the bi-simplicial diagonal).
 
     Cells in bidegree (a,b) are a x b matrices over pi; the doubly
-    non-degenerate ones are those without an all-neutral row or column.
-    Horizontal faces drop or merge rows, vertical faces columns.
+    non-degenerate ones are those without an all-neutral row or column,
+    and the 0 x 0 one.  Horizontal faces drop or merge rows, vertical
+    faces columns.
     """
     neutral = pi.neutral
 
-    def nondeg(matrix: tuple) -> bool:
-        a = len(matrix)
-        b = len(matrix[0]) if a else 0
-        if any(all(v == neutral for v in row) for row in matrix):
-            return False
-        return not any(
-            all(matrix[i][j] == neutral for i in range(a)) for j in range(b)
-        )
+    def nondeg(a: int, b: int, matrix: tuple) -> bool:
+        if not (a and b):
+            return a == b == 0
+        return (neutral,) * b not in matrix and (neutral,) * a not in zip(*matrix)
 
-    basis: list[list[tuple]] = [[] for _ in range(dim_bound + 1)]
-    basis[0].append((0, 0, ()))
-    for a in range(1, dim_bound):
-        for b in range(1, dim_bound + 1 - a):
-            rows_pool = list(itertools.product(pi.elements(), repeat=b))
-            for matrix in itertools.product(rows_pool, repeat=a):
-                if nondeg(matrix):
-                    basis[a + b].append((a, b, matrix))
-    index = [{cell: i for i, cell in enumerate(layer)} for layer in basis]
+    def add_rows(u: tuple, v: tuple) -> tuple:
+        return tuple(map(pi.add, u, v))
 
-    def row_faces(matrix: tuple, a: int) -> list[tuple]:
-        out = []
-        for i in range(a + 1):
-            if i == 0:
-                out.append(matrix[1:])
-            elif i == a:
-                out.append(matrix[:-1])
-            else:
-                merged = tuple(
-                    pi.add(u, v) for u, v in zip(matrix[i - 1], matrix[i])
-                )
-                out.append(matrix[: i - 1] + (merged,) + matrix[i + 1 :])
-        return out
+    def faces(d: int, cell: tuple) -> Iterator[tuple]:
+        a, b, matrix = cell
+        for face in _bar_faces(matrix, add_rows):
+            if nondeg(a - 1, b, face):
+                yield a - 1, b, face
+        for face in _bar_faces(tuple(zip(*matrix)), add_rows):
+            face = tuple(zip(*face))
+            if nondeg(a, b - 1, face):
+                yield a, b - 1, face
 
-    def transpose(matrix: tuple) -> tuple:
-        return tuple(zip(*matrix))
-
-    boundary: list[list[int]] = [[0] * len(basis[0])]
-    for d in range(1, dim_bound + 1):
-        rows = []
-        for a, b, matrix in basis[d]:
-            hits: Counter = Counter()
-            for face in row_faces(matrix, a):
-                key = (a - 1, b, face)
-                if key in index[d - 1]:
-                    hits[key] += 1
-            for face in row_faces(transpose(matrix), b):
-                key = (a, b - 1, transpose(face))
-                if key in index[d - 1]:
-                    hits[key] += 1
-            row = 0
-            for cell, count in hits.items():
-                if count % 2:
-                    row |= 1 << index[d - 1][cell]
-            rows.append(row)
-        boundary.append(rows)
-    return [
-        (len(basis[d]) - gf2_rank(boundary[d])) - gf2_rank(boundary[d + 1])
-        for d in range(dim_bound)
+    basis = [
+        [
+            (a, d - a, matrix)
+            for a in range(d + 1)
+            for matrix in itertools.product(
+                list(itertools.product(pi.elements(), repeat=d - a)), repeat=a
+            )
+            if nondeg(a, d - a, matrix)
+        ]
+        for d in range(dim_bound + 1)
     ]
+    return _f2_chains(basis, faces)
 
 
 def oracle_multisimplicial(
@@ -383,7 +332,9 @@ def oracle_multisimplicial(
     """Independent F2 Betti numbers for degrees 0..dim_bound-1: the nerve
     of pi for n=1, the double nerve (via its total complex) for n=2."""
     if n == 1:
-        return _nerve_betti(pi, dim_bound)
-    if n == 2:
-        return _double_nerve_betti(pi, dim_bound)
-    raise ValueError(f"oracle unsupported for level {n}")
+        complex_ = _nerve_chains(pi, dim_bound)
+    elif n == 2:
+        complex_ = _double_nerve_chains(pi, dim_bound)
+    else:
+        raise ValueError(f"oracle unsupported for level {n}")
+    return [homology_f2(complex_, d) for d in range(dim_bound)]

@@ -423,13 +423,6 @@ def embed(f: ThetaOperator) -> ThetaOperator:
     return ThetaOperator(f.level + 1, f.source, f.target, f.phi, rows)
 
 
-def homogeneous_tree(ks: list[int]) -> LevelTree:
-    """The tree with ks[0] root branches, each with ks[1] branches, etc."""
-    if not ks:
-        return LEAF
-    return LevelTree((homogeneous_tree(ks[1:]),) * ks[0])
-
-
 def diagonal(fs: list[SimplicialOperator]) -> ThetaOperator:
     """The diagonal functor delta_n: Delta^n -> Theta_n on a tuple of
     simplicial operators: phi is the first and every block slot repeats

@@ -160,6 +160,8 @@ _TREE_MEMO: dict[tuple[int, int], list[LevelTree]] = {}
 def enumerate_trees(n: int, e: int) -> list[LevelTree]:
     """All level-trees with exactly e edges and height <= n, in
     lexicographic order of the bracket encoding."""
+    if n < 0:
+        raise ValueError("tree height bound n must be >= 0")
     return sorted(_trees(n, e, _TREE_MEMO), key=LevelTree.render)
 
 
@@ -261,49 +263,6 @@ def star(tree: LevelTree, n: int) -> NGraph:
 
     build(tree, (), 0, None)
     return NGraph(tuple(tuple(layer) for layer in cells), source, target)
-
-
-def generated_order_is_total(g: NGraph) -> bool:
-    """Street's criterion: the order generated by s(x) <= x <= t(x) on the
-    union of all cells is total."""
-    nodes = [c for layer in g.cells for c in layer]
-    index = {c: i for i, c in enumerate(nodes)}
-    k = len(nodes)
-    below = [set() for _ in range(k)]  # below[i] = nodes <= i
-    for c in nodes:
-        below[index[c]].add(index[c])
-    # generating relations: s(x) <= x and x <= t(x)
-    edges = [set() for _ in range(k)]  # j in edges[i]  <=>  i <= j directly
-    for x, s in g.source.items():
-        edges[index[s]].add(index[x])
-    for x, t in g.target.items():
-        edges[index[x]].add(index[t])
-    # transitive closure by repeated relaxation (small graphs only)
-    changed = True
-    reach = edges
-    while changed:
-        changed = False
-        for i in range(k):
-            extra = set()
-            for j in reach[i]:
-                extra |= reach[j]
-            if not extra <= reach[i]:
-                reach[i] |= extra
-                changed = True
-    for i in range(k):
-        for j in range(i + 1, k):
-            if j not in reach[i] and i not in reach[j]:
-                return False
-    return True
-
-
-def has_globular_identities(g: NGraph) -> bool:
-    for layer in g.cells[2:]:
-        for c in layer:
-            s, t = g.source[c], g.target[c]
-            if g.source[s] != g.source[t] or g.target[s] != g.target[t]:
-                return False
-    return True
 
 
 # --- shuffles ----------------------------------------------------------

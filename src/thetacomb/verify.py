@@ -12,9 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .counting import euler_char, fib_numbers, gf_coefficients, gf_em
-from .gamma import compose_gamma
+from .gamma import compose_gamma, parse_group
 from .presheaf import chain_complex, em_set, homology_f2, oracle_multisimplicial
-from .gamma import parse_group
 from .theta import (
     ThetaOperator,
     compose_theta,
@@ -199,7 +198,7 @@ def suite_chain() -> list[Check]:
     cases = [("z2", 1, 7), ("z3", 1, 6), ("z2", 2, 6)]
     for spec, n, bound in cases:
         pi = parse_group(spec)
-        complex_ = chain_complex(em_set(pi, n, bound), bound)
+        complex_ = chain_complex(em_set(pi, n), bound)
         ours = [homology_f2(complex_, d) for d in range(bound)]
         oracle = oracle_multisimplicial(pi, n, bound)
         checks.append(

@@ -128,7 +128,7 @@ def test_criterion_09_homology_vs_oracle(capsys):
     started = time.perf_counter()
     for spec, n, bound, betti_n in (("z2", 1, 7, 1), ("z3", 1, 6, 0), ("z2", 2, 6, 1)):
         pi = parse_group(spec)
-        complex_ = chain_complex(em_set(pi, n, bound), bound)
+        complex_ = chain_complex(em_set(pi, n), bound)
         ours = [homology_f2(complex_, d) for d in range(bound)]
         assert ours == oracle_multisimplicial(pi, n, bound)
         assert all(ours[k] == 0 for k in range(1, n))
@@ -142,8 +142,8 @@ def test_criterion_10_boundary_squares_to_zero(capsys):
     # touches (plus products) proves the assertion never fires
     started = time.perf_counter()
     for spec, n, bound in (("z2", 1, 7), ("z3", 1, 6), ("z2", 2, 6), ("z2xz2", 1, 4), ("z4", 2, 4)):
-        chain_complex(em_set(parse_group(spec), n, bound), bound)
+        chain_complex(em_set(parse_group(spec), n), bound)
     for m, n in itertools.product(range(3), repeat=2):
-        chain_complex(product_set(corolla(m), corolla(n), 1, m + n), m + n)
+        chain_complex(product_set(corolla(m), corolla(n), 1), m + n)
     with capsys.disabled():
         _report(10, "boundary-squared-is-zero assertion holds in every constructed complex", started, 300)

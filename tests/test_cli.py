@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,10 @@ import pytest
 
 import thetacomb
 from thetacomb.cli import main
+
+# the directory holding the thetacomb the tests imported, installed or not,
+# for child processes
+PACKAGE_PATH = str(Path(thetacomb.__file__).resolve().parent.parent)
 
 
 def run_cli(capsys, *argv):
@@ -67,7 +72,11 @@ def test_em_homology_oracle(capsys):
     assert [line.split(",")[1] for line in lines[1:]] == ["1"] * 6
 
 
-def test_em_homology_oracle_unsupported_level(capsys):
+def test_em_homology_oracle_unsupported_level(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("chain complex built before the oracle check")
+
+    monkeypatch.setattr("thetacomb.cli.chain_complex", refuse)
     code, _, err = run_cli(
         capsys, "em", "homology", "--n", "3", "--group", "z2", "--max-dim", "4",
         "--oracle",
@@ -99,6 +108,26 @@ def test_count_rejects_trivial_group(capsys):
     assert code == 2 and "order" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "em cells --n 0 --group z2 --max-dim 3",
+    "em cells --n 2 --group zz --max-dim 3",
+    "em cells --n 2 --group z0 --max-dim 3",
+    "em cells --n 2 --group z2 --max-dim -1",
+    "em homology --n 2 --group z2 --max-dim -2",
+    "count fib --n 0 --order 2",
+    "count fib --n 2 --order 2 --terms 0",
+    "count fib --n 2 --order 2 --terms -2",
+    "count euler --n 0 --order 2",
+    "trees --n 2 --edges -3",
+    "trees --n -1 --edges 2",
+    "trees --n 0 --edges 2 --pruned",
+])
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_verify_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "counts")
     assert code == 0
@@ -122,18 +151,18 @@ def test_deterministic_output():
         sys.executable, "-m", "thetacomb.cli",
         "em", "cells", "--n", "2", "--group", "z2", "--max-dim", "6",
     ]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 
 
 def _capped_env(megabytes):
-    """A minimal child environment that still imports the thetacomb the
-    tests imported, installed or not."""
+    """A minimal child environment that still imports thetacomb."""
     return {
         "PATH": "/usr/bin:/bin",
-        "PYTHONPATH": str(Path(thetacomb.__file__).resolve().parent.parent),
+        "PYTHONPATH": PACKAGE_PATH,
         "THETA_MAX_MEM_MB": str(megabytes),
     }
 

@@ -18,14 +18,27 @@ from thetacomb.theta import (
     embed,
     gamma_n,
     hom_theta,
-    homogeneous_tree,
     identity_theta,
     is_face,
     is_retraction,
     reedy_factor,
     suspend,
 )
-from thetacomb.trees import LEAF, corolla, enumerate_trees, linear_tree, parse_tree
+from thetacomb.trees import (
+    LEAF,
+    LevelTree,
+    corolla,
+    enumerate_trees,
+    linear_tree,
+    parse_tree,
+)
+
+
+def homogeneous_tree(ks: list[int]) -> LevelTree:
+    """The tree with ks[0] root branches, each with ks[1] branches, etc."""
+    if not ks:
+        return LEAF
+    return LevelTree((homogeneous_tree(ks[1:]),) * ks[0])
 
 
 def all_trees(n, max_edges):

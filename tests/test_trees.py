@@ -9,9 +9,8 @@ from thetacomb.trees import (
     TreeParseError,
     corolla,
     enumerate_pruned,
+    NGraph,
     enumerate_trees,
-    generated_order_is_total,
-    has_globular_identities,
     is_pruned,
     linear_tree,
     parse_tree,
@@ -19,6 +18,45 @@ from thetacomb.trees import (
     star,
     vertices_at_height,
 )
+
+
+def generated_order_is_total(g: NGraph) -> bool:
+    """Street's criterion: the order generated by s(x) <= x <= t(x) on the
+    union of all cells is total."""
+    nodes = [c for layer in g.cells for c in layer]
+    index = {c: i for i, c in enumerate(nodes)}
+    k = len(nodes)
+    # generating relations: s(x) <= x and x <= t(x)
+    reach = [set() for _ in range(k)]  # j in reach[i]  <=>  i <= j
+    for x, s in g.source.items():
+        reach[index[s]].add(index[x])
+    for x, t in g.target.items():
+        reach[index[x]].add(index[t])
+    # transitive closure by repeated relaxation (small graphs only)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k):
+            extra = set()
+            for j in reach[i]:
+                extra |= reach[j]
+            if not extra <= reach[i]:
+                reach[i] |= extra
+                changed = True
+    for i in range(k):
+        for j in range(i + 1, k):
+            if j not in reach[i] and i not in reach[j]:
+                return False
+    return True
+
+
+def has_globular_identities(g: NGraph) -> bool:
+    for layer in g.cells[2:]:
+        for c in layer:
+            s, t = g.source[c], g.target[c]
+            if g.source[s] != g.source[t] or g.target[s] != g.target[t]:
+                return False
+    return True
 
 
 def test_parse_basic():
@@ -60,6 +98,15 @@ def test_enumerate_trees_examples():
     assert [t.render() for t in enumerate_trees(1, 3)] == ["[[],[],[]]"]
     assert sorted(t.render() for t in enumerate_trees(2, 2)) == ["[[[]]]", "[[],[]]"]
     assert len(enumerate_trees(2, 3)) == 4
+    assert enumerate_trees(0, 0) == [LEAF]
+
+
+def test_enumerate_trees_rejects_negative_height():
+    # there are no trees of negative height, not even the leaf
+    with pytest.raises(ValueError):
+        enumerate_trees(-1, 2)
+    with pytest.raises(ValueError):
+        enumerate_trees(-1, 0)
 
 
 def _count_trees_oracle(n, e, memo=None):
