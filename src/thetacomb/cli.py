@@ -170,13 +170,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_memory_cap() -> None:
+    """Cap the address space at THETA_MAX_MEM_MB megabytes when it is set;
+    ValueError if it is not a positive integer the system accepts."""
     cap = os.environ.get("THETA_MAX_MEM_MB")
     if not cap:
         return
     import resource
 
-    limit = int(cap) * 1024 * 1024
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    try:
+        megabytes = int(cap)
+        if megabytes < 1:
+            raise ValueError
+        limit = megabytes * 1024 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    except (ValueError, OverflowError):
+        raise ValueError(
+            f"THETA_MAX_MEM_MB must be a positive integer of megabytes "
+            f"within the system limit, got {cap!r}"
+        ) from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -189,6 +200,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         _apply_memory_cap()
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    try:
         return args.func(args)
     except MemoryError:
         print("memory cap exceeded (THETA_MAX_MEM_MB)", file=sys.stderr)

@@ -12,18 +12,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from .gamma import FiniteAbelianGroup, h_pi_act
 from .theta import (
     ThetaOperator,
+    codim1_faces,
     codim1_retractions,
     compose_theta,
     gamma_n,
     hom_theta,
     identity_theta,
-    is_face,
 )
 from .trees import LEAF, LevelTree, enumerate_trees, is_pruned, vertices_at_height
 
@@ -191,24 +190,16 @@ def _f2_chains(
     return F2ChainComplex(len(basis) - 1, basis, boundary, ranks)
 
 
-@lru_cache(maxsize=None)
-def _faces_between(
-    source: LevelTree, target: LevelTree, n: int
-) -> tuple[ThetaOperator, ...]:
-    return tuple(f for f in hom_theta(source, target, n) if is_face(f))
-
-
 def chain_complex(x_set: FiniteThetaSet, dim_bound: int) -> F2ChainComplex:
     """Cellular F2 chains: the boundary of a non-degenerate cell sums its
     reductions along all codimension-1 monomorphisms, keeping only the
     summands that stay non-degenerate; checks that the boundary squares
     to zero."""
     n = x_set.level
-    trees = [enumerate_trees(n, d) for d in range(dim_bound + 1)]
     basis: list[list[tuple[LevelTree, object]]] = []
-    for layer_trees in trees:
+    for d in range(dim_bound + 1):
         layer = []
-        for tree in layer_trees:
+        for tree in enumerate_trees(n, d):
             if x_set.nondeg_elements is not None:
                 layer.extend((tree, x) for x in x_set.nondeg_elements(tree))
             else:
@@ -221,11 +212,10 @@ def chain_complex(x_set: FiniteThetaSet, dim_bound: int) -> F2ChainComplex:
 
     def faces(d: int, cell: tuple[LevelTree, object]) -> Iterator:
         tree, x = cell
-        for small in trees[d - 1]:
-            for face in _faces_between(small, tree, n):
-                core_tree, _, y = reduce_element(x_set, small, x_set.act(face, x))
-                if core_tree.edges == d - 1:
-                    yield core_tree, y
+        for face in codim1_faces(tree, n):
+            core_tree, _, y = reduce_element(x_set, face.source, x_set.act(face, x))
+            if core_tree.edges == d - 1:
+                yield core_tree, y
 
     return _f2_chains(basis, faces)
 

@@ -7,9 +7,10 @@ phi(i-1) < k <= phi(i).  Level 1 is Delta itself: the operator carries
 only phi and the trees are corollas.
 
 Provides composition, identities, hom enumeration, the retraction /
-monomorphism taxonomy with Reedy factorization, the assembly functor
-gamma_n to Gamma, suspension, level embedding and the multi-simplicial
-diagonal.
+monomorphism taxonomy with Reedy factorization, the codimension-1 faces
+into a tree generated from the wreath structure (which the cellular
+boundary uses), the assembly functor gamma_n to Gamma, suspension, level
+embedding and the multi-simplicial diagonal.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, combinations, product
 
 from .gamma import GammaOperator, assemble
 from .simplex import (
@@ -177,9 +178,10 @@ def is_retraction(f: ThetaOperator) -> bool:
     return all(is_retraction(c) for row in f.components for c in row)
 
 
+@lru_cache(maxsize=None)
 def codim1_retractions(
     tree: LevelTree, n: int
-) -> list[tuple[ThetaOperator, ThetaOperator]]:
+) -> tuple[tuple[ThetaOperator, ThetaOperator], ...]:
     """All retractions out of the tree whose target has one edge fewer,
     each paired with a section.
 
@@ -251,7 +253,85 @@ def codim1_retractions(
                         ThetaOperator(n, smaller, tree, identity_delta(m), s_rows),
                     )
                 )
+    return tuple(out)
+
+
+def _shuffle_pairs(
+    u: LevelTree, v: LevelTree, n: int
+) -> list[tuple[ThetaOperator, ThetaOperator]]:
+    """The top-dimensional non-degenerate elements of Theta_n[U] x Theta_n[V]:
+    one pair per (a,b)-shuffle of the a root branches of U with the b of V.
+    The source interleaves the branches; each projection sends the branches
+    of its own tree identically onto them and collapses the others."""
+    a, b = len(u.children), len(v.children)
+    out = []
+    for positions in combinations(range(a + b), a):
+        from_u = [p in positions for p in range(a + b)]
+        u_iter, v_iter = iter(u.children), iter(v.children)
+        source = LevelTree(tuple(next(u_iter) if x else next(v_iter) for x in from_u))
+        pair = []
+        for target, keep in ((u, from_u), (v, [not x for x in from_u])):
+            values = (0, *accumulate(keep))
+            phi = SimplicialOperator(a + b, len(target.children), values)
+            if n == 1:
+                pair.append(ThetaOperator(1, source, target, phi))
+                continue
+            rows = tuple(
+                (identity_theta(branch, n - 1),) if k else ()
+                for k, branch in zip(keep, source.children)
+            )
+            pair.append(ThetaOperator(n, source, target, phi, rows))
+        out.append(tuple(pair))
     return out
+
+
+@lru_cache(maxsize=None)
+def codim1_faces(target: LevelTree, n: int) -> tuple[ThetaOperator, ...]:
+    """Every monomorphism into the tree whose source has one edge fewer,
+    each exactly once, read off the wreath structure Theta_n = Delta wr
+    Theta_{n-1}.  A dimension count leaves three kinds:
+
+    - outer: phi = delta^0 or delta^m drops the first or last root branch
+      when it is a leaf, with identity components;
+    - inner: phi = delta^j, 0 < j < m, merges branches j and j+1 into one
+      source branch that maps to both by a shuffle pair (_shuffle_pairs),
+      with identities elsewhere;
+    - inside one branch: phi = id, a codimension-1 face in one branch and
+      identities elsewhere.
+
+    Level 1 is the same rule without components, all branches being leaves.
+    """
+    branches = target.children
+    m = len(branches)
+    cofaces = [
+        SimplicialOperator(m - 1, m, tuple(k for k in range(m + 1) if k != j))
+        for j in range(m + 1)
+    ] if m else []
+    if n == 1:
+        return tuple(ThetaOperator(1, corolla(m - 1), target, phi) for phi in cofaces)
+    ids = [(identity_theta(c, n - 1),) for c in branches]
+    choices = []  # (phi, component rows) per face
+    for j, phi in enumerate(cofaces):
+        if 0 < j < m:
+            choices.extend(
+                (phi, ids[: j - 1] + [pair] + ids[j + 1 :])
+                for pair in _shuffle_pairs(branches[j - 1], branches[j], n - 1)
+            )
+        else:
+            drop = min(j, m - 1)
+            if branches[drop] == LEAF:
+                choices.append((phi, ids[:drop] + ids[drop + 1 :]))
+    for i in range(m):
+        choices.extend(
+            (identity_delta(m), ids[:i] + [(sub,)] + ids[i + 1 :])
+            for sub in codim1_faces(branches[i], n - 1)
+        )
+    return tuple(
+        ThetaOperator(
+            n, LevelTree(tuple(row[0].source for row in rows)), target, phi, tuple(rows)
+        )
+        for phi, rows in choices
+    )
 
 
 def _factors_through(f: ThetaOperator, idem: ThetaOperator) -> bool:
@@ -262,7 +342,10 @@ def _factors_through(f: ThetaOperator, idem: ThetaOperator) -> bool:
 
 def is_face(f: ThetaOperator) -> bool:
     """Monomorphism test: phi injective and no block family jointly factors
-    through a codimension-1 retraction of its source branch."""
+    through a codimension-1 retraction of its source branch.
+
+    Serves classify_theta and the tests of reedy_factor's face part;
+    filtering hom_theta with it is the test oracle for codim1_faces."""
     if not f.phi.is_injective:
         return False
     if f.level == 1:

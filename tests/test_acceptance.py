@@ -147,3 +147,39 @@ def test_criterion_10_boundary_squares_to_zero(capsys):
         chain_complex(product_set(corolla(m), corolla(n), 1), m + n)
     with capsys.disabled():
         _report(10, "boundary-squared-is-zero assertion holds in every constructed complex", started, 300)
+
+
+def serre_betti_z2(n, top):
+    """F2 Betti numbers of K(Z/2,n) in degrees 0..top-1 from Serre's theorem:
+    the cohomology is polynomial on Sq^I iota_n, one generator of degree
+    n+|I| for each admissible I (i_k >= 2 i_{k+1}, i_r >= 1, I empty
+    allowed) of excess i_1 - i_2 - ... - i_r below n."""
+    generators = []
+    stack = [()]
+    while stack:
+        seq = stack.pop()
+        degree = n + sum(seq)
+        if degree >= top:
+            continue
+        if not seq or 2 * seq[0] - sum(seq) < n:
+            generators.append(degree)
+        stack.extend((i,) + seq for i in range(2 * seq[0] if seq else 1, top - degree))
+    betti = [1] + [0] * (top - 1)
+    for d in generators:  # multiply by 1 / (1 - t^d)
+        for k in range(d, top):
+            betti[k] += betti[k - d]
+    return betti
+
+
+def test_criterion_11_homology_vs_serre(capsys):
+    assert serre_betti_z2(1, 8) == oracle_multisimplicial(parse_group("z2"), 1, 8)
+    assert serre_betti_z2(2, 10) == [1, 0, 1, 1, 1, 2, 2, 2, 3, 4]
+    started = time.perf_counter()
+    for n in (2, 3):
+        code = main(["em", "homology", "--n", str(n), "--group", "z2", "--max-dim", "10"])
+        out = capsys.readouterr().out
+        assert code == 0
+        betti = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert betti == serre_betti_z2(n, 10), n
+    with capsys.disabled():
+        _report(11, "F2 Betti numbers of K(Z/2,2), K(Z/2,3) through degree 9 match Serre", started, 30)

@@ -190,3 +190,18 @@ def test_memory_cap_generous_limit_succeeds():
         env=_capped_env(512),
     )
     assert result.returncode == 0 and result.stdout.strip() == b"5"
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_memory_cap_bad_value_is_usage_error(value):
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "thetacomb.cli",
+            "count", "euler", "--n", "2", "--order", "5",
+        ],
+        capture_output=True,
+        env=_capped_env(value),
+    )
+    assert result.returncode == 2 and result.stdout == b""
+    assert len(result.stderr.splitlines()) == 1
+    assert b"THETA_MAX_MEM_MB" in result.stderr

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from thetacomb.theta import (
     ThetaShapeError,
     bang,
     classify_theta,
+    codim1_faces,
     codim1_retractions,
     compose_theta,
     diagonal,
@@ -114,6 +116,36 @@ def test_codim1_retraction_sections():
                 assert r.target.edges == t.edges - 1
                 assert is_retraction(r)
                 assert compose_theta(r, s).is_identity
+
+
+def test_codim1_retractions_are_cached_tuples():
+    t = parse_tree("[[],[[]]]")
+    pairs = codim1_retractions(t, 2)
+    assert isinstance(pairs, tuple) and codim1_retractions(t, 2) is pairs
+
+
+def test_codim1_faces_match_filtered_hom_sets():
+    for n in (1, 2, 3):
+        for e in range(1, 6):
+            sources = enumerate_trees(n, e - 1)
+            for t in enumerate_trees(n, e):
+                faces = codim1_faces(t, n)
+                assert len(set(faces)) == len(faces), t
+                assert all(f.target == t and is_face(f) for f in faces), t
+                want = {f for s in sources for f in hom_theta(s, t, n) if is_face(f)}
+                assert set(faces) == want, (n, t)
+
+
+def test_inner_faces_are_shuffles():
+    for n in (1, 2, 3):
+        for t in all_trees(n, 5):
+            m = len(t.children)
+            for j in range(1, m):
+                merged = [f for f in codim1_faces(t, n) if j not in f.phi.values]
+                a, b = (len(c.children) for c in t.children[j - 1 : j + 1])
+                assert len(merged) == math.comb(a + b, a), (t, j)
+                assert all(f.source.children[j - 1].edges == t.children[j - 1].edges
+                           + t.children[j].edges for f in merged)
 
 
 def test_reedy_factor_examples():
