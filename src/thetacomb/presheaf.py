@@ -24,24 +24,39 @@ from .theta import (
     hom_theta,
     identity_theta,
 )
-from .trees import LEAF, LevelTree, enumerate_trees, is_pruned, vertices_at_height
+from .trees import (
+    LEAF,
+    LevelTree,
+    enumerate_pruned,
+    enumerate_trees,
+    vertices_at_height,
+)
 
 
 @dataclass
 class FiniteThetaSet:
     """Lazy presheaf on Theta_n: eval lists the elements over a tree and
-    act(f, x) pulls x back along the operator f."""
+    act(f, x) pulls x back along the operator f.
+
+    The optional fast paths work per degree d: nondeg_count(d) counts the
+    non-degenerate cells over trees with d edges and nondeg_cells(d) lists
+    them as (tree, element) pairs, trees in render order.  They own the
+    shape list, so they need only visit the shapes that can hold a
+    non-degenerate cell.  Without them, the census and the chains test
+    every element over every tree of height <= n."""
 
     level: int
     eval: Callable[[LevelTree], list]
     act: Callable[[ThetaOperator, object], object]
-    # optional fast paths for non-degenerate cells (used by K(pi,n))
-    nondeg_count: Optional[Callable[[LevelTree], int]] = None
-    nondeg_elements: Optional[Callable[[LevelTree], list]] = None
+    nondeg_count: Optional[Callable[[int], int]] = None
+    nondeg_cells: Optional[Callable[[int], list]] = None
 
 
 def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:
-    """The Eilenberg-MacLane Theta_n-set K(pi,n)."""
+    """The Eilenberg-MacLane Theta_n-set K(pi,n).  Its non-degenerate
+    cells are the point and the labelings of pruned n-trees by non-neutral
+    elements, so its fast paths list only those shapes: the leaf in
+    degree 0 and the pruned n-trees in degree d >= 1."""
     if n < 1:
         raise ValueError("level n must be >= 1")
 
@@ -52,22 +67,25 @@ def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:
     def action(f: ThetaOperator, x):
         return h_pi_act(pi, gamma_n(f), x)
 
-    def nondeg_count(tree: LevelTree) -> int:
-        if tree == LEAF:
-            return 1
-        if not is_pruned(tree, n):
-            return 0
-        return (pi.order - 1) ** len(vertices_at_height(tree, n))
+    def shapes(d: int) -> list[LevelTree]:
+        return enumerate_pruned(n, d) if d else [LEAF]
 
-    def nondeg_elements(tree: LevelTree) -> list:
-        if tree == LEAF:
-            return [()]
-        if not is_pruned(tree, n):
-            return []
-        k = len(vertices_at_height(tree, n))
-        return list(itertools.product(pi.non_neutral(), repeat=k))
+    def nondeg_count(d: int) -> int:
+        return sum(
+            (pi.order - 1) ** len(vertices_at_height(tree, n))
+            for tree in shapes(d)
+        )
 
-    return FiniteThetaSet(n, eval_tree, action, nondeg_count, nondeg_elements)
+    def nondeg_cells(d: int) -> list:
+        return [
+            (tree, x)
+            for tree in shapes(d)
+            for x in itertools.product(
+                pi.non_neutral(), repeat=len(vertices_at_height(tree, n))
+            )
+        ]
+
+    return FiniteThetaSet(n, eval_tree, action, nondeg_count, nondeg_cells)
 
 
 def product_set(s: LevelTree, t: LevelTree, n: int) -> FiniteThetaSet:
@@ -117,21 +135,25 @@ def reduce_element(
     return tree, degeneracy, y
 
 
+def _nondeg_layer(x_set: FiniteThetaSet, d: int) -> list:
+    """The non-degenerate cells over trees with d edges, as (tree, element)
+    pairs."""
+    if x_set.nondeg_cells is not None:
+        return x_set.nondeg_cells(d)
+    return [
+        (tree, x)
+        for tree in enumerate_trees(x_set.level, d)
+        for x in x_set.eval(tree)
+        if is_nondegenerate(x_set, tree, x)
+    ]
+
+
 def cell_census(x_set: FiniteThetaSet, dim_bound: int) -> dict[int, int]:
-    """Count of non-degenerate cells per dimension 0..dim_bound."""
-    census = {}
-    for d in range(dim_bound + 1):
-        total = 0
-        for tree in enumerate_trees(x_set.level, d):
-            if x_set.nondeg_count is not None:
-                total += x_set.nondeg_count(tree)
-            else:
-                total += sum(
-                    1 for x in x_set.eval(tree)
-                    if is_nondegenerate(x_set, tree, x)
-                )
-        census[d] = total
-    return census
+    """Count of non-degenerate cells per dimension 0..dim_bound, from the
+    set's nondeg_count fast path when it has one: for K(pi,n) that walks
+    only the point and the pruned n-trees."""
+    count = x_set.nondeg_count or (lambda d: len(_nondeg_layer(x_set, d)))
+    return {d: count(d) for d in range(dim_bound + 1)}
 
 
 def product_census(
@@ -196,19 +218,7 @@ def chain_complex(x_set: FiniteThetaSet, dim_bound: int) -> F2ChainComplex:
     summands that stay non-degenerate; checks that the boundary squares
     to zero."""
     n = x_set.level
-    basis: list[list[tuple[LevelTree, object]]] = []
-    for d in range(dim_bound + 1):
-        layer = []
-        for tree in enumerate_trees(n, d):
-            if x_set.nondeg_elements is not None:
-                layer.extend((tree, x) for x in x_set.nondeg_elements(tree))
-            else:
-                layer.extend(
-                    (tree, x)
-                    for x in x_set.eval(tree)
-                    if is_nondegenerate(x_set, tree, x)
-                )
-        basis.append(layer)
+    basis = [_nondeg_layer(x_set, d) for d in range(dim_bound + 1)]
 
     def faces(d: int, cell: tuple[LevelTree, object]) -> Iterator:
         tree, x = cell

@@ -8,6 +8,7 @@ import pytest
 
 import thetacomb
 from thetacomb.cli import main
+from thetacomb.counting import fib_numbers
 
 # the directory holding the thetacomb the tests imported, installed or not,
 # for child processes
@@ -159,12 +160,16 @@ def test_deterministic_output():
 
 
 def _capped_env(megabytes):
-    """A minimal child environment that still imports thetacomb."""
-    return {
+    """A minimal child environment that still imports thetacomb and, when
+    the tests were asked not to, writes no bytecode."""
+    env = {
         "PATH": "/usr/bin:/bin",
         "PYTHONPATH": PACKAGE_PATH,
         "THETA_MAX_MEM_MB": str(megabytes),
     }
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 def test_memory_cap_aborts_with_exit_3():
@@ -190,6 +195,22 @@ def test_memory_cap_generous_limit_succeeds():
         env=_capped_env(512),
     )
     assert result.returncode == 0 and result.stdout.strip() == b"5"
+
+
+def test_em_cells_height_4_fits_a_small_cap():
+    # the census lists pruned trees only; listing every tree of height
+    # <= 4 with up to 15 edges took close to 1 GB
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "thetacomb.cli",
+            "em", "cells", "--n", "4", "--group", "z2", "--max-dim", "15",
+        ],
+        capture_output=True,
+        env=_capped_env(128),
+    )
+    assert result.returncode == 0
+    rows = [line.split(b",") for line in result.stdout.splitlines()[1:]]
+    assert [int(count) for _, count in rows[4:]] == fib_numbers(4, 2, 11)
 
 
 @pytest.mark.parametrize("value", ["abc", "-5"])

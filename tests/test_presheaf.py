@@ -7,6 +7,7 @@ import pytest
 from thetacomb.gamma import parse_group
 from thetacomb.presheaf import (
     BoundarySquareError,
+    FiniteThetaSet,
     _f2_chains,
     cell_census,
     chain_complex,
@@ -130,6 +131,22 @@ def test_census_matches_counting_module():
             assert census[0] == 1
             assert all(census[d] == 0 for d in range(1, n))
             assert [census[n + k] for k in range(6)] == fib
+
+
+@pytest.mark.parametrize(
+    "spec, n, bound",
+    [("z2", 1, 11), ("z2", 2, 8), ("z2", 3, 8), ("z3", 1, 7), ("z3", 2, 6),
+     ("z2xz2", 1, 5), ("z2xz2", 2, 5)],
+)
+def test_em_fast_paths_match_generic_walk(spec, n, bound):
+    # the same K(pi,n) without fast paths tests every element over every
+    # tree of height <= n with is_nondegenerate
+    x = em_set(parse_group(spec), n)
+    plain = FiniteThetaSet(n, x.eval, x.act)
+    assert cell_census(x, bound) == cell_census(plain, bound)
+    fast, generic = chain_complex(x, bound), chain_complex(plain, bound)
+    assert fast.basis == generic.basis
+    assert fast.ranks == generic.ranks
 
 
 def test_product_census():
