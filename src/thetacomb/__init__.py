@@ -66,7 +66,6 @@ from .trees import (
     enumerate_trees,
     linear_tree,
     parse_tree,
-    shuffle_trees,
     star,
     vertices_at_height,
 )

@@ -24,13 +24,7 @@ from .theta import (
     hom_theta,
     identity_theta,
 )
-from .trees import (
-    LEAF,
-    LevelTree,
-    enumerate_pruned,
-    enumerate_trees,
-    vertices_at_height,
-)
+from .trees import LEAF, LevelTree, count_at_height, enumerate_pruned, enumerate_trees
 
 
 @dataclass
@@ -61,7 +55,7 @@ def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:
         raise ValueError("level n must be >= 1")
 
     def eval_tree(tree: LevelTree) -> list:
-        k = len(vertices_at_height(tree, n))
+        k = count_at_height(tree, n)
         return list(itertools.product(pi.elements(), repeat=k))
 
     def action(f: ThetaOperator, x):
@@ -72,7 +66,7 @@ def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:
 
     def nondeg_count(d: int) -> int:
         return sum(
-            (pi.order - 1) ** len(vertices_at_height(tree, n))
+            (pi.order - 1) ** count_at_height(tree, n)
             for tree in shapes(d)
         )
 
@@ -81,7 +75,7 @@ def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:
             (tree, x)
             for tree in shapes(d)
             for x in itertools.product(
-                pi.non_neutral(), repeat=len(vertices_at_height(tree, n))
+                pi.non_neutral(), repeat=count_at_height(tree, n)
             )
         ]
 

@@ -344,8 +344,8 @@ def is_face(f: ThetaOperator) -> bool:
     """Monomorphism test: phi injective and no block family jointly factors
     through a codimension-1 retraction of its source branch.
 
-    Serves classify_theta and the tests of reedy_factor's face part;
-    filtering hom_theta with it is the test oracle for codim1_faces."""
+    Serves the tests of reedy_factor's face part; filtering hom_theta with
+    it is the test oracle for codim1_faces."""
     if not f.phi.is_injective:
         return False
     if f.level == 1:
@@ -420,16 +420,12 @@ def reedy_factor(f: ThetaOperator) -> tuple[ThetaOperator, ThetaOperator]:
 
 
 def _preserves_endpoints(f: ThetaOperator) -> bool:
-    if f.phi(0) != 0 or f.phi(f.phi.source) != f.phi.target:
-        return False
-    return all(_preserves_endpoints(c) for row in f.components for c in row)
-
-
-def _is_inner_face(f: ThetaOperator) -> bool:
     # endpoint preservation is checked blockwise all the way down; a
     # single projection may collapse (e.g. globe onto a whiskered
     # composite) as long as the operator as a whole is monic
-    return is_face(f) and _preserves_endpoints(f)
+    if f.phi(0) != 0 or f.phi(f.phi.source) != f.phi.target:
+        return False
+    return all(_preserves_endpoints(c) for row in f.components for c in row)
 
 
 def _is_outer_face(f: ThetaOperator) -> bool:
@@ -447,7 +443,7 @@ def classify_theta(f: ThetaOperator) -> str:
     if face.is_identity:
         return "degeneracy"
     if degeneracy.is_identity:
-        if _is_inner_face(f):
+        if _preserves_endpoints(f):
             return "inner-face"
         if _is_outer_face(f):
             return "outer-face"

@@ -3,17 +3,17 @@
 A level-tree is a finite planar rooted tree; vertices are graded by their
 edge-distance from the root.  Trees of height <= n are the cell shapes used
 throughout the rest of the library.  This module provides the data
-structure, a bracket-string encoding, enumeration (all trees / pruned
-trees), the star construction producing globular n-graphs, and root
-shuffles of height-1 trees.
+structure, a bracket-string encoding, enumeration of all trees or only
+the pruned ones by one memoised recursion, and the star construction
+producing globular n-graphs.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 
 class TreeParseError(ValueError):
@@ -22,10 +22,6 @@ class TreeParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class ShuffleUnsupportedError(ValueError):
-    """Shuffles are only defined here for trees of height <= 1."""
 
 
 @dataclass(frozen=True)
@@ -125,36 +121,37 @@ def is_pruned(tree: LevelTree, n: int) -> bool:
     return all(is_pruned(c, n - 1) for c in tree.children)
 
 
-def _forests(n: int, e: int, m: int, memo) -> list[tuple[LevelTree, ...]]:
-    """Ordered m-tuples of height-<=n trees totaling e edges."""
-    if m == 0:
-        return [()] if e == 0 else []
-    out = []
-    for e0 in range(e + 1):
-        for head in _trees(n, e0, memo):
-            for tail in _forests(n, e - e0, m - 1, memo):
-                out.append((head,) + tail)
-    return out
+def _forests(h: int, w: int, pruned: bool, memo) -> Iterator[tuple[LevelTree, ...]]:
+    """Ordered forests of _trees(h, ., pruned) whose edges plus one per
+    branch total w."""
+    if w == 0:
+        yield ()
+        return
+    least = h if pruned else 0  # the fewest edges a branch can have
+    for e in range(w):
+        rest = w - 1 - e
+        if 0 < rest <= least:
+            continue  # no branch fits in the rest
+        for head in _trees(h, e, pruned, memo):
+            for tail in _forests(h, rest, pruned, memo):
+                yield (head, *tail)
 
 
-def _trees(n: int, e: int, memo) -> list[LevelTree]:
-    key = (n, e)
-    if key in memo:
-        return memo[key]
-    if e == 0:
-        result = [LEAF]
-    elif n == 0:
-        result = []
-    else:
-        result = []
-        for m in range(1, e + 1):
-            for forest in _forests(n - 1, e - m, m, memo):
-                result.append(LevelTree(forest))
-    memo[key] = result
-    return result
+def _trees(n: int, e: int, pruned: bool, memo) -> list[LevelTree]:
+    """The trees with e edges and height <= n, or if pruned only those with
+    every leaf at height n."""
+    key = (n, e, pruned)
+    if key not in memo:
+        if e == 0:
+            memo[key] = [] if pruned and n else [LEAF]
+        elif n == 0:
+            memo[key] = []
+        else:
+            memo[key] = [LevelTree(f) for f in _forests(n - 1, e, pruned, memo)]
+    return memo[key]
 
 
-_TREE_MEMO: dict[tuple[int, int], list[LevelTree]] = {}
+_MEMO: dict[tuple[int, int, bool], list[LevelTree]] = {}
 
 
 def enumerate_trees(n: int, e: int) -> list[LevelTree]:
@@ -162,41 +159,15 @@ def enumerate_trees(n: int, e: int) -> list[LevelTree]:
     lexicographic order of the bracket encoding."""
     if n < 0:
         raise ValueError("tree height bound n must be >= 0")
-    return sorted(_trees(n, e, _TREE_MEMO), key=LevelTree.render)
-
-
-def _pruned(n: int, e: int, memo) -> list[LevelTree]:
-    key = (n, e)
-    if key in memo:
-        return memo[key]
-    if n == 0:
-        result = [LEAF] if e == 0 else []
-    else:
-        result = []
-        # Each of the m root branches is a pruned (n-1)-tree, so it has at
-        # least n-1 edges, and with its root edge it uses at least n: hence
-        # m <= e // n.  Split the e-m branch edges as n-1 per branch plus a
-        # composition of the spare e - m*n edges into m non-negative parts.
-        for m in range(1, e // n + 1):
-            spare = e - m * n
-            for cuts in itertools.combinations(range(spare + m - 1), m - 1):
-                bounds = (-1, *cuts, spare + m - 1)
-                split = [n - 1 + bounds[i + 1] - bounds[i] - 1 for i in range(m)]
-                children = [_pruned(n - 1, ei, memo) for ei in split]
-                for forest in itertools.product(*children):
-                    result.append(LevelTree(forest))
-    memo[key] = result
-    return result
-
-
-_PRUNED_MEMO: dict[tuple[int, int], list[LevelTree]] = {}
+    return sorted(_trees(n, e, False, _MEMO), key=LevelTree.render)
 
 
 def enumerate_pruned(n: int, e: int) -> list[LevelTree]:
-    """All pruned n-trees (every leaf at height exactly n) with e edges."""
+    """All pruned n-trees (every leaf at height exactly n) with e edges, in
+    the same order."""
     if n < 1:
         raise ValueError("pruned enumeration needs n >= 1")
-    return sorted(_pruned(n, e, _PRUNED_MEMO), key=LevelTree.render)
+    return sorted(_trees(n, e, True, _MEMO), key=LevelTree.render)
 
 
 # --- star construction -------------------------------------------------
@@ -263,29 +234,3 @@ def star(tree: LevelTree, n: int) -> NGraph:
 
     build(tree, (), 0, None)
     return NGraph(tuple(tuple(layer) for layer in cells), source, target)
-
-
-# --- shuffles ----------------------------------------------------------
-
-
-def shuffle_trees(s: LevelTree, t: LevelTree) -> list[LevelTree]:
-    """All order-preserving interleavings of the root branches of two
-    height-<=1 trees, one output tree per interleaving pattern.
-
-    For corollas every interleaving yields the same planar tree, so the
-    returned list records the shuffle multiplicity: its length is always
-    binomial(a+b, a) for branch counts a, b.
-    """
-    if s.height > 1 or t.height > 1:
-        raise ShuffleUnsupportedError("shuffles are only defined for height <= 1")
-    a, b = len(s.children), len(t.children)
-    out = []
-    for positions in itertools.combinations(range(a + b), a):
-        chosen = set(positions)
-        s_iter = iter(s.children)
-        t_iter = iter(t.children)
-        branches = tuple(
-            next(s_iter) if i in chosen else next(t_iter) for i in range(a + b)
-        )
-        out.append(LevelTree(branches))
-    return out

@@ -9,11 +9,16 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 from .counting import euler_char, fib_numbers, gf_coefficients, gf_em
-from .gamma import compose_gamma, parse_group
-from .presheaf import chain_complex, em_set, homology_f2, oracle_multisimplicial
+from .gamma import FiniteAbelianGroup, compose_gamma, parse_group
+from .presheaf import (
+    cell_census,
+    chain_complex,
+    em_set,
+    homology_f2,
+    oracle_multisimplicial,
+)
 from .theta import (
     ThetaOperator,
     compose_theta,
@@ -24,7 +29,7 @@ from .theta import (
     reedy_factor,
     suspend,
 )
-from .trees import LevelTree, enumerate_pruned, enumerate_trees
+from .trees import LevelTree, enumerate_trees
 
 Check = tuple[str, bool, str]
 
@@ -211,32 +216,17 @@ def suite_chain() -> list[Check]:
     return checks
 
 
-@lru_cache(maxsize=None)
-def _pruned_leaf_profile(n: int, k: int) -> tuple[int, ...]:
-    from .trees import vertices_at_height
-
-    return tuple(
-        len(vertices_at_height(tree, n)) for tree in enumerate_pruned(n, n + k)
-    )
-
-
-def weighted_pruned_count(n: int, p: int, k: int) -> int:
-    """Independent oracle for f_{n,pi}^k: enumerate pruned n-trees with
-    n+k edges and weight each by (p-1)^{#leaves}."""
-    return sum((p - 1) ** c for c in _pruned_leaf_profile(n, k))
-
-
 def suite_counts() -> list[Check]:
     checks: list[Check] = []
     bad = []
     for n in range(1, 4):
         for p in range(2, 5):
+            enum = cell_census(em_set(FiniteAbelianGroup((p,)), n), n + 10)
             rec = fib_numbers(n, p, 10)
             coeffs = gf_coefficients(gf_em(n, p), n + 10)
             for k in range(11):
-                enum = weighted_pruned_count(n, p, k)
-                if not (enum == rec[k] == coeffs[n + k]):
-                    bad.append((n, p, k, enum, rec[k], coeffs[n + k]))
+                if not (enum[n + k] == rec[k] == coeffs[n + k]):
+                    bad.append((n, p, k, enum[n + k], rec[k], coeffs[n + k]))
     checks.append(
         ("three-way count agreement, n <= 3, p <= 4, k <= 10",
          not bad, f"{len(bad)} mismatches" + (f"; first: {bad[0]}" if bad else ""))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from thetacomb.cli import main
 from thetacomb.counting import euler_char, fib_numbers, gf_coefficients, gf_em
-from thetacomb.gamma import parse_group
+from thetacomb.gamma import FiniteAbelianGroup, parse_group
 from thetacomb.presheaf import (
     chain_complex,
     em_set,
@@ -22,8 +22,8 @@ from thetacomb.presheaf import (
     product_set,
 )
 from thetacomb.theta import dim_theta
-from thetacomb.trees import _PRUNED_MEMO, corolla, enumerate_trees
-from thetacomb.verify import _pruned_leaf_profile, run_suites, weighted_pruned_count
+from thetacomb.trees import _MEMO, corolla, enumerate_trees
+from thetacomb.verify import run_suites
 
 
 def _report(number, label, started, budget):
@@ -46,12 +46,12 @@ def test_criterion_01_fibonacci_cell_counts(capsys):
 
 def test_criterion_02_recursion_law_on_enumerated_counts(capsys):
     # time a cold enumeration whatever ran before in this process
-    _PRUNED_MEMO.clear()
-    _pruned_leaf_profile.cache_clear()
+    _MEMO.clear()
     started = time.perf_counter()
     for n in range(1, 5):
         for p in (2, 3, 5):
-            counts = [weighted_pruned_count(n, p, k) for k in range(13 + n)]
+            k_set = em_set(FiniteAbelianGroup((p,)), n)
+            counts = [k_set.nondeg_count(n + k) for k in range(13 + n)]
             for k in range(13):
                 assert (p - 1) * sum(counts[k : k + n]) == counts[k + n]
     with capsys.disabled():
@@ -72,10 +72,11 @@ def test_criterion_04_three_way_count_agreement(capsys):
     started = time.perf_counter()
     for n in range(1, 4):
         for p in range(2, 5):
+            k_set = em_set(FiniteAbelianGroup((p,)), n)
             rec = fib_numbers(n, p, 10)
             coeffs = gf_coefficients(gf_em(n, p), n + 10)
             for k in range(11):
-                assert weighted_pruned_count(n, p, k) == rec[k] == coeffs[n + k]
+                assert k_set.nondeg_count(n + k) == rec[k] == coeffs[n + k]
     with capsys.disabled():
         _report(4, "enumeration = recursion = series coefficients, n <= 3, p <= 4, k <= 10", started, 30)
 

@@ -10,6 +10,7 @@ from thetacomb.theta import (
     ThetaCompositionError,
     ThetaOperator,
     ThetaShapeError,
+    _shuffle_pairs,
     bang,
     classify_theta,
     codim1_faces,
@@ -148,6 +149,26 @@ def test_inner_faces_are_shuffles():
                            + t.children[j].edges for f in merged)
 
 
+def test_shuffles():
+    assert len(_shuffle_pairs(corolla(1), corolla(1), 1)) == 2
+    (pair,) = _shuffle_pairs(LEAF, corolla(2), 1)
+    assert pair[0].source == corolla(2)
+    assert len(_shuffle_pairs(corolla(2), corolla(1), 1)) == 3
+    for a, b in itertools.product(range(4), repeat=2):
+        pairs = _shuffle_pairs(corolla(a), corolla(b), 1)
+        assert len(set(pairs)) == len(pairs) == math.comb(a + b, a)
+        assert all(p.source == q.source and p.source.edges == a + b for p, q in pairs)
+
+
+def test_shuffles_of_height_2_trees():
+    u, v = linear_tree(2), corolla(1)
+    pairs = _shuffle_pairs(u, v, 2)
+    assert [p.source.render() for p, _ in pairs] == ["[[[]],[]]", "[[],[[]]]"]
+    for p, q in pairs:
+        assert p.source == q.source and (p.target, q.target) == (u, v)
+        assert is_retraction(p) and is_retraction(q)
+
+
 def test_reedy_factor_examples():
     d = ThetaOperator(1, corolla(3), corolla(2), SimplicialOperator(3, 2, (0, 1, 1, 2)))
     deg, face = reedy_factor(d)
@@ -164,6 +185,8 @@ def test_reedy_factor_properties_n2():
             assert compose_theta(face, deg) == f
             assert is_retraction(deg)
             assert is_face(face)
+            # classify_theta takes an identity degeneracy to mean f is monic
+            assert is_face(f) or not deg.is_identity
 
 
 def test_mono_agrees_with_left_cancellation():
@@ -243,9 +266,9 @@ def test_faces_factor_inner_after_outer():
 
 
 def _inner(f):
-    from thetacomb.theta import _is_inner_face
+    from thetacomb.theta import _preserves_endpoints
 
-    return _is_inner_face(f)
+    return _preserves_endpoints(f)
 
 
 def _outer(f):

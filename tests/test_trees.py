@@ -1,11 +1,8 @@
-import itertools
-
 import pytest
 
 from thetacomb.trees import (
     LEAF,
     LevelTree,
-    ShuffleUnsupportedError,
     TreeParseError,
     corolla,
     enumerate_pruned,
@@ -14,7 +11,6 @@ from thetacomb.trees import (
     is_pruned,
     linear_tree,
     parse_tree,
-    shuffle_trees,
     star,
     vertices_at_height,
 )
@@ -162,9 +158,16 @@ def test_enumerate_pruned_counts():
 def test_enumerate_pruned_matches_filtered_trees():
     # oracle: filter all height-<=n trees; covers e < n and e not divisible by n
     for n in range(1, 5):
-        for e in range(9):
+        for e in range(11):
             want = [t for t in enumerate_trees(n, e) if is_pruned(t, n)]
             assert enumerate_pruned(n, e) == want
+
+
+def test_enumerate_pruned_is_not_exponential():
+    # a pruned 1-tree is a corolla; walking compositions of the edges would
+    # take 2^59 steps here
+    assert enumerate_pruned(1, 60) == [corolla(60)]
+    assert len(enumerate_pruned(2, 20)) == 4181
 
 
 def test_pruned_counts_satisfy_dolan_recursion():
@@ -222,20 +225,3 @@ def test_star_json_shape():
     data = json.loads(star(parse_tree("[[],[[]]]"), 2).to_json())
     assert set(data) == {"cells", "source", "target"}
     assert len(data["cells"]) == 3
-
-
-def test_shuffles():
-    assert len(shuffle_trees(corolla(1), corolla(1))) == 2
-    assert shuffle_trees(LEAF, corolla(2)) == [corolla(2)]
-    assert len(shuffle_trees(corolla(2), corolla(1))) == 3
-    import math
-
-    for a, b in itertools.product(range(4), repeat=2):
-        out = shuffle_trees(corolla(a), corolla(b))
-        assert len(out) == math.comb(a + b, a)
-        assert all(t.edges == a + b for t in out)
-
-
-def test_shuffles_reject_tall_trees():
-    with pytest.raises(ShuffleUnsupportedError):
-        shuffle_trees(linear_tree(2), corolla(1))
