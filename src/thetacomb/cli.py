@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .counting import euler_char, fib_numbers
 from .gamma import parse_group
-from .presheaf import cell_census, chain_complex, em_set, homology_f2, oracle_multisimplicial
+from .presheaf import cell_census, em_chains, em_set, homology_f2, oracle_multisimplicial
 from .trees import enumerate_pruned, enumerate_trees
 from .verify import SUITES, run_suites
 
@@ -47,9 +47,8 @@ def cmd_trees(args) -> int:
 
 
 def cmd_em(args) -> int:
-    x_set = em_set(args.group, args.n)
     if args.em_command == "cells":
-        census = cell_census(x_set, args.max_dim)
+        census = cell_census(em_set(args.group, args.n), args.max_dim)
         rows = [(d, census[d]) for d in range(args.max_dim + 1)]
         _emit_table(("dimension", "count"), rows, args.format)
         return EXIT_OK
@@ -57,7 +56,7 @@ def cmd_em(args) -> int:
         print(f"oracle unsupported for n={args.n}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     # homology: degree d needs the boundary in degree d+1
-    complex_ = chain_complex(x_set, args.max_dim)
+    complex_ = em_chains(args.group, args.n, args.max_dim)
     betti = [homology_f2(complex_, d) for d in range(args.max_dim)]
     if args.oracle:
         expected = oracle_multisimplicial(args.group, args.n, args.max_dim)
@@ -143,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "homology":
             p.add_argument("--oracle", action="store_true",
-                           help="cross-check against the multisimplicial oracle")
+                           help="cross-check against the (double) nerve oracle, n <= 2")
         p.set_defaults(func=cmd_em)
 
     p_count = sub.add_parser("count", help="Fibonacci counts and Euler characteristic")

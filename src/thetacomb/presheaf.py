@@ -4,8 +4,10 @@ The central object is the reduced Eilenberg-MacLane Theta_n-set
 K(pi,n) = gamma_n^*(H pi): a tree evaluates to labelings of its height-n
 vertices by elements of pi, operators act through gamma_n and subset
 sums.  Also here: products of representables, reduction to the
-non-degenerate core, cell censuses, mod-2 cellular chains with homology,
-and an independent (multi)simplicial oracle for the homology.
+non-degenerate core, cell censuses, mod-2 cellular chains with homology
+(for K(pi,n) also built on its labelled pruned trees by em_chains, the
+iterated bar construction, with chain_complex's Theta operators as the
+oracle), and an independent (multi)simplicial oracle for the homology.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from .theta import (
     hom_theta,
     identity_theta,
 )
-from .trees import LEAF, LevelTree, count_at_height, enumerate_pruned, enumerate_trees
+from .trees import (
+    LEAF, LevelTree, corolla, count_at_height, enumerate_pruned, enumerate_trees
+)
 
 
 @dataclass
@@ -222,6 +226,46 @@ def chain_complex(x_set: FiniteThetaSet, dim_bound: int) -> F2ChainComplex:
                 yield core_tree, y
 
     return _f2_chains(basis, faces)
+
+
+def em_chains(pi: FiniteAbelianGroup, n: int, dim_bound: int) -> F2ChainComplex:
+    """The F2 chains of K(pi,n) on its cells (tree, labels), with the basis
+    and boundary of chain_complex(em_set(pi, n), dim_bound) and no Theta
+    operator: the Eilenberg-Mac Lane iterated bar construction.  A level-1
+    face is a bar face without neutral labels; a level-k face is a face
+    inside one root branch that leaves it non-empty, or merges two adjacent
+    branches along a shuffle of their children, which keep their labels."""
+    neutral = pi.neutral
+
+    def branches(tree: LevelTree, labels: tuple, k: int) -> list:
+        cuts = (0, *itertools.accumulate(count_at_height(c, k - 1) for c in tree.children))
+        return [(c, labels[i:j]) for c, i, j in zip(tree.children, cuts, cuts[1:])]
+
+    def graft(parts: list) -> tuple[LevelTree, tuple]:
+        trees, labels = zip(*parts)
+        return LevelTree(trees), tuple(itertools.chain(*labels))
+
+    def faces(k: int, tree: LevelTree, labels: tuple) -> Iterator:
+        if k == 1:
+            for face in _bar_faces(labels, pi.add):
+                if neutral not in face:
+                    yield corolla(len(face)), face
+            return
+        parts = branches(tree, labels, k)
+        for j, part in enumerate(parts):
+            for face in faces(k - 1, *part):
+                if face[0].children:
+                    yield graft(parts[:j] + [face] + parts[j + 1 :])
+        for j in range(len(parts) - 1):
+            left, right = branches(*parts[j], k - 1), branches(*parts[j + 1], k - 1)
+            size = len(left) + len(right)
+            for picks in itertools.combinations(range(size), len(left)):
+                lefts, rights = iter(left), iter(right)
+                merged = [next(lefts) if i in picks else next(rights) for i in range(size)]
+                yield graft(parts[:j] + [graft(merged)] + parts[j + 2 :])
+
+    basis = list(map(em_set(pi, n).nondeg_cells, range(dim_bound + 1)))
+    return _f2_chains(basis, lambda d, cell: faces(n, *cell))
 
 
 def gf2_rank(rows: list[int]) -> int:

@@ -15,6 +15,7 @@ from .gamma import FiniteAbelianGroup, compose_gamma, parse_group
 from .presheaf import (
     cell_census,
     chain_complex,
+    em_chains,
     em_set,
     homology_f2,
     oracle_multisimplicial,
@@ -213,6 +214,12 @@ def suite_chain() -> list[Check]:
                 f"chain {ours} vs oracle {oracle}",
             )
         )
+        bar = em_chains(pi, n, bound)
+        same = bar.basis == complex_.basis and bar.boundary == complex_.boundary
+        checks.append((
+            f"labelled-tree boundary of K({spec},{n}) equals the Theta_n-set boundary",
+            same, f"degrees <= {bound}, {sum(map(len, bar.basis))} cells",
+        ))
     return checks
 
 

@@ -177,10 +177,23 @@ def test_criterion_11_homology_vs_serre(capsys):
     assert serre_betti_z2(2, 10) == [1, 0, 1, 1, 1, 2, 2, 2, 3, 4]
     started = time.perf_counter()
     for n in (2, 3):
-        code = main(["em", "homology", "--n", str(n), "--group", "z2", "--max-dim", "10"])
+        code = main(["em", "homology", "--n", str(n), "--group", "z2", "--max-dim", "16"])
         out = capsys.readouterr().out
         assert code == 0
         betti = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
-        assert betti == serre_betti_z2(n, 10), n
+        assert betti == serre_betti_z2(n, 16), n
     with capsys.disabled():
-        _report(11, "F2 Betti numbers of K(Z/2,2), K(Z/2,3) through degree 9 match Serre", started, 30)
+        _report(11, "F2 Betti numbers of K(Z/2,2), K(Z/2,3) through degree 15 match Serre", started, 30)
+
+
+def test_em_homology_builds_no_theta_operators(capsys, monkeypatch):
+    # the CLI's homology must not fall back on reducing Theta operators
+    def refuse(*args):
+        raise AssertionError("em homology used the Theta_n-set chains")
+
+    for name in ("reduce_element", "codim1_faces", "gamma_n"):
+        monkeypatch.setattr(f"thetacomb.presheaf.{name}", refuse)
+    code = main(["em", "homology", "--n", "3", "--group", "z2", "--max-dim", "8"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert [int(line.split(",")[1]) for line in out.splitlines()[1:]] == serre_betti_z2(3, 8)

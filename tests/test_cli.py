@@ -77,7 +77,7 @@ def test_em_homology_oracle_unsupported_level(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("chain complex built before the oracle check")
 
-    monkeypatch.setattr("thetacomb.cli.chain_complex", refuse)
+    monkeypatch.setattr("thetacomb.cli.em_chains", refuse)
     code, _, err = run_cli(
         capsys, "em", "homology", "--n", "3", "--group", "z2", "--max-dim", "4",
         "--oracle",

@@ -11,6 +11,7 @@ from thetacomb.presheaf import (
     _f2_chains,
     cell_census,
     chain_complex,
+    em_chains,
     em_set,
     homology_f2,
     gf2_rank,
@@ -147,6 +148,19 @@ def test_em_fast_paths_match_generic_walk(spec, n, bound):
     fast, generic = chain_complex(x, bound), chain_complex(plain, bound)
     assert fast.basis == generic.basis
     assert fast.ranks == generic.ranks
+
+
+@pytest.mark.parametrize(
+    "spec, n, bound",
+    [("z2", 1, 7), ("z3", 1, 6), ("z2", 2, 9), ("z3", 2, 6), ("z4", 2, 5),
+     ("z2xz2", 2, 5), ("z2", 3, 10), ("z3", 3, 7), ("z2", 4, 10)],
+)
+def test_em_chains_match_theta_set_chains(spec, n, bound):
+    # the labelled-tree boundary is the Theta_n-set boundary, matrix for matrix
+    pi = parse_group(spec)
+    bar, theta = em_chains(pi, n, bound), chain_complex(em_set(pi, n), bound)
+    assert bar.basis == theta.basis
+    assert bar.boundary == theta.boundary
 
 
 def test_product_census():
