@@ -3,7 +3,7 @@
 Subcommands: trees (enumeration), em (cell census / homology of K(pi,n)),
 count (Fibonacci counts / Euler characteristic), verify (invariant
 suites).  Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-3 unsupported configuration.
+3 unsupported configuration, memory cap exceeded or input too deep.
 """
 
 from __future__ import annotations
@@ -206,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except MemoryError:
         print("memory cap exceeded (THETA_MAX_MEM_MB)", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except RecursionError:
+        print("input too deep: Python's recursion limit was exceeded", file=sys.stderr)
         return EXIT_UNSUPPORTED
 
 

@@ -20,11 +20,11 @@ from .gamma import FiniteAbelianGroup, h_pi_act
 from .theta import (
     ThetaOperator,
     codim1_faces,
-    codim1_retractions,
     compose_theta,
+    degenerate_along,
     gamma_n,
     hom_theta,
-    identity_theta,
+    peel,
 )
 from .trees import (
     LEAF, LevelTree, corolla, count_at_height, enumerate_pruned, enumerate_trees
@@ -105,11 +105,7 @@ def product_set(s: LevelTree, t: LevelTree, n: int) -> FiniteThetaSet:
 def is_nondegenerate(x_set: FiniteThetaSet, tree: LevelTree, x) -> bool:
     """True iff x is not the image of anything along a codimension-1
     retraction out of the tree."""
-    for r, s in codim1_retractions(tree, x_set.level):
-        candidate = x_set.act(s, x)
-        if x_set.act(r, candidate) == x:
-            return False
-    return True
+    return not any(degenerate_along(tree, x_set.level, x_set.act, x))
 
 
 def reduce_element(
@@ -117,20 +113,7 @@ def reduce_element(
 ) -> tuple[LevelTree, ThetaOperator, object]:
     """The unique non-degenerate core: a tree U, a degeneracy d: S -> U and
     a non-degenerate y over U with act(d, y) = x."""
-    degeneracy = identity_theta(tree, x_set.level)
-    y = x
-    progress = True
-    while progress:
-        progress = False
-        for r, s in codim1_retractions(tree, x_set.level):
-            candidate = x_set.act(s, y)
-            if x_set.act(r, candidate) == y:
-                degeneracy = compose_theta(r, degeneracy)
-                tree = r.target
-                y = candidate
-                progress = True
-                break
-    return tree, degeneracy, y
+    return peel(tree, x_set.level, x_set.act, x)
 
 
 def _nondeg_layer(x_set: FiniteThetaSet, d: int) -> list:

@@ -11,6 +11,10 @@ monomorphism taxonomy with Reedy factorization, the codimension-1 faces
 into a tree generated from the wreath structure (which the cellular
 boundary uses), the assembly functor gamma_n to Gamma, suspension, level
 embedding and the multi-simplicial diagonal.
+
+One mechanism, peel, splits an element of a Theta_n-set into a
+degeneracy of its non-degenerate core (Eilenberg-Zilber).  The Reedy
+factorization of f: S -> T is f's non-degenerate core in Theta_n[T].
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, product
+from typing import Callable, Iterator
 
 from .gamma import GammaOperator, assemble
 from .simplex import (
     SimplicialOperator,
     compose_delta,
-    factor_epi_mono,
     hom_delta,
     identity_delta,
     segal_gamma,
@@ -187,73 +191,74 @@ def codim1_retractions(
 
     Every retraction factors through one of these: either a leaf branch is
     dropped at the root, or a codimension-1 retraction is applied inside a
-    single branch.
+    single branch.  Level 1 has no components, so its rows are empty.
     """
-    m = len(tree.children)
-    out: list[tuple[ThetaOperator, ThetaOperator]] = []
-    for i in range(1, m + 1):
-        if tree.children[i - 1].edges == 0:
-            # drop leaf branch i
-            smaller = LevelTree(tree.children[: i - 1] + tree.children[i:])
-            r_phi = SimplicialOperator(
-                m, m - 1, tuple(j if j < i else j - 1 for j in range(m + 1))
-            )
-            s_phi = SimplicialOperator(
-                m - 1, m, tuple(j if j < i else j + 1 for j in range(m))
-            )
-            if n == 1:
-                out.append(
-                    (
-                        ThetaOperator(1, tree, smaller, r_phi),
-                        ThetaOperator(1, smaller, tree, s_phi),
-                    )
-                )
-                continue
-            r_rows = []
-            for j in range(1, m + 1):
-                if j == i:
-                    r_rows.append(())
-                else:
-                    r_rows.append((identity_theta(tree.children[j - 1], n - 1),))
-            # section block for the branch bridging the dropped leaf covers
-            # both S_i (via the unique map to the leaf) and S_{i+1}
-            s_rows = []
-            for j in range(1, m):
-                src_branch = smaller.children[j - 1]
-                row = []
-                for k in range(s_phi(j - 1) + 1, s_phi(j) + 1):
-                    if k == i:
-                        row.append(bang(src_branch, n - 1))
-                    else:
-                        row.append(identity_theta(src_branch, n - 1))
-                s_rows.append(tuple(row))
-            out.append(
-                (
-                    ThetaOperator(n, tree, smaller, r_phi, tuple(r_rows)),
-                    ThetaOperator(n, smaller, tree, s_phi, tuple(s_rows)),
-                )
-            )
-    if n >= 2:
-        for i in range(1, m + 1):
-            for r_sub, s_sub in codim1_retractions(tree.children[i - 1], n - 1):
-                smaller = LevelTree(
-                    tree.children[: i - 1] + (r_sub.target,) + tree.children[i:]
-                )
-                r_rows = tuple(
-                    (r_sub,) if j == i else (identity_theta(tree.children[j - 1], n - 1),)
-                    for j in range(1, m + 1)
-                )
-                s_rows = tuple(
-                    (s_sub,) if j == i else (identity_theta(smaller.children[j - 1], n - 1),)
-                    for j in range(1, m + 1)
-                )
-                out.append(
-                    (
-                        ThetaOperator(n, tree, smaller, identity_delta(m), r_rows),
-                        ThetaOperator(n, smaller, tree, identity_delta(m), s_rows),
-                    )
-                )
+    branches = tree.children
+    m = len(branches)
+    ids = [(identity_theta(c, n - 1),) for c in branches] if n > 1 else []
+    ident = identity_delta(m)
+    choices = []  # (smaller branches, r phi, r rows, s phi, s rows)
+    for i in range(m):
+        if branches[i] != LEAF:
+            continue
+        r_phi = SimplicialOperator(
+            m, m - 1, tuple(j if j <= i else j - 1 for j in range(m + 1))
+        )
+        s_phi = SimplicialOperator(
+            m - 1, m, tuple(j if j <= i else j + 1 for j in range(m))
+        )
+        r_rows = [() if k == i else row for k, row in enumerate(ids)]
+        # the section's block for the branch after the dropped leaf covers
+        # the leaf too, through the unique map to it
+        s_rows = [
+            (bang(row[0].source, n - 1),) + row if k == i + 1 else row
+            for k, row in enumerate(ids)
+            if k != i
+        ]
+        smaller = branches[:i] + branches[i + 1 :]
+        choices.append((smaller, r_phi, r_rows, s_phi, s_rows))
+    for i in range(m):
+        for r_sub, s_sub in codim1_retractions(branches[i], n - 1):
+            smaller = branches[:i] + (r_sub.target,) + branches[i + 1 :]
+            r_rows = ids[:i] + [(r_sub,)] + ids[i + 1 :]
+            s_rows = ids[:i] + [(s_sub,)] + ids[i + 1 :]
+            choices.append((smaller, ident, r_rows, ident, s_rows))
+    out = []
+    for smaller, r_phi, r_rows, s_phi, s_rows in choices:
+        target = LevelTree(smaller)
+        r = ThetaOperator(n, tree, target, r_phi, tuple(r_rows))
+        out.append((r, ThetaOperator(n, target, tree, s_phi, tuple(s_rows))))
     return tuple(out)
+
+
+def degenerate_along(
+    tree: LevelTree, n: int, act: Callable[[ThetaOperator, object], object], x
+) -> Iterator[tuple[ThetaOperator, object]]:
+    """The pairs (r, y) with x = act(r, y), where (r, s) runs over the
+    codimension-1 retractions out of the tree and y = act(s, x).  act(f, x)
+    pulls x back along f, as in a Theta_n-set."""
+    for r, s in codim1_retractions(tree, n):
+        y = act(s, x)
+        if act(r, y) == x:
+            yield r, y
+
+
+def peel(
+    tree: LevelTree, n: int, act: Callable[[ThetaOperator, object], object], x
+) -> tuple[LevelTree, ThetaOperator, object]:
+    """The Eilenberg-Zilber decomposition x = act(d, y): the core tree U,
+    the degeneracy d: tree -> U and the non-degenerate y over U.  Peels
+    the first codimension-1 degeneracy until none is left; the result is
+    unique, so the order does not matter."""
+    for r, y in degenerate_along(tree, n, act, x):
+        core, degeneracy, z = peel(r.target, n, act, y)
+        return core, compose_theta(degeneracy, r), z
+    return tree, identity_theta(tree, n), x
+
+
+def _precompose(g: ThetaOperator, f: ThetaOperator) -> ThetaOperator:
+    """The action of the representable Theta_n[T]: f pulled back along g."""
+    return compose_theta(f, g)
 
 
 def _shuffle_pairs(
@@ -334,88 +339,21 @@ def codim1_faces(target: LevelTree, n: int) -> tuple[ThetaOperator, ...]:
     )
 
 
-def _factors_through(f: ThetaOperator, idem: ThetaOperator) -> bool:
-    """Whether f factors through the retraction r with section s, given the
-    idempotent s.r: f = g.r for some g iff f.(s.r) = f."""
-    return compose_theta(f, idem) == f
-
-
 def is_face(f: ThetaOperator) -> bool:
-    """Monomorphism test: phi injective and no block family jointly factors
-    through a codimension-1 retraction of its source branch.
-
-    Serves the tests of reedy_factor's face part; filtering hom_theta with
-    it is the test oracle for codim1_faces."""
-    if not f.phi.is_injective:
-        return False
-    if f.level == 1:
-        return True
-    for i in range(1, len(f.source.children) + 1):
-        family = f.components[i - 1]
-        for r, s in codim1_retractions(f.source.children[i - 1], f.level - 1):
-            idem = compose_theta(s, r)
-            if all(_factors_through(c, idem) for c in family):
-                return False
-    return True
+    """Monomorphism test: f is non-degenerate in the representable
+    Theta_n[T].  An injective phi is necessary and cheap, so it goes first.
+    Filtering hom_theta with it is the test oracle for codim1_faces."""
+    return f.phi.is_injective and not any(
+        degenerate_along(f.source, f.level, _precompose, f)
+    )
 
 
 def reedy_factor(f: ThetaOperator) -> tuple[ThetaOperator, ThetaOperator]:
-    """The unique factorization f = face . degeneracy with the degeneracy a
-    retraction and the face a monomorphism.
-
-    The degeneracy is extracted constructively: first the epi part of phi
-    (collapsed branches map trivially), then per remaining branch the
-    joint degeneracy of its component family, peeled off one
-    codimension-1 retraction at a time until the family is jointly
-    non-degenerate.  Uniqueness makes the greedy order irrelevant; the
-    test suite cross-checks against a brute-force search.
-    """
-    n = f.level
-    if n == 1:
-        epi, mono = factor_epi_mono(f.phi)
-        mid = corolla(epi.target)
-        return (
-            ThetaOperator(1, f.source, mid, epi),
-            ThetaOperator(1, mid, f.target, mono),
-        )
-    m = len(f.source.children)
-    psi, rho = factor_epi_mono(f.phi)
-    # step 1: collapse the branches with empty psi-block
-    kept = [i for i in range(1, m + 1) if psi(i) > psi(i - 1)]
-    mid1 = LevelTree(tuple(f.source.children[i - 1] for i in kept))
-    d1_rows = tuple(
-        (identity_theta(f.source.children[i - 1], n - 1),)
-        if psi(i) > psi(i - 1)
-        else ()
-        for i in range(1, m + 1)
-    )
-    d1 = ThetaOperator(n, f.source, mid1, psi, d1_rows)
-    # step 2: per remaining branch, peel off the joint degeneracy
-    sigmas = []  # retraction per branch of mid1
-    families = []  # quotiented component rows
-    for idx, i in enumerate(kept):
-        branch = mid1.children[idx]
-        sigma = identity_theta(branch, n - 1)
-        family = list(f.components[i - 1])
-        progress = True
-        while progress:
-            progress = False
-            for r, s in codim1_retractions(branch, n - 1):
-                idem = compose_theta(s, r)
-                if all(_factors_through(c, idem) for c in family):
-                    family = [compose_theta(c, s) for c in family]
-                    sigma = compose_theta(r, sigma)
-                    branch = r.target
-                    progress = True
-                    break
-        sigmas.append(sigma)
-        families.append(tuple(family))
-    mid2 = LevelTree(tuple(s.target for s in sigmas))
-    d2 = ThetaOperator(
-        n, mid1, mid2, identity_delta(len(kept)), tuple((s,) for s in sigmas)
-    )
-    degeneracy = compose_theta(d2, d1)
-    face = ThetaOperator(n, mid2, f.target, rho, tuple(families))
+    """The unique factorization f = face . degeneracy, the degeneracy a
+    retraction and the face a monomorphism: the face is f's non-degenerate
+    core in the representable Theta_n[T] (peel).  The tests cross-check it
+    against a brute-force search."""
+    _, degeneracy, face = peel(f.source, f.level, _precompose, f)
     return degeneracy, face
 
 

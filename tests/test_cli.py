@@ -129,6 +129,16 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "trees --n 1 --edges 1000 --pruned",
+    "em homology --n 250 --group z2 --max-dim 251",
+])
+def test_too_deep_input_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "recursion limit" in err
+
+
 def test_verify_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "counts")
     assert code == 0

@@ -1,0 +1,38 @@
+"""Static checks on the package source, with the standard library only."""
+
+import ast
+from pathlib import Path
+
+import thetacomb
+
+PACKAGE_DIR = Path(thetacomb.__file__).resolve().parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never mentions again.  A name counts
+    as used when it appears as an identifier anywhere in the module, the
+    base of an attribute access included."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{name} (line {line})" for name, line in imported.items() if name not in used
+    ]
+
+
+def test_unused_imports_are_found():
+    source = "import os\nfrom sys import argv, path\nprint(os.sep, argv)\n"
+    assert unused_imports(source) == ["path (line 2)"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports names only to re-export them
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name != "__init__.py":
+            assert unused_imports(path.read_text()) == [], path.name

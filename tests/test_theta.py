@@ -119,6 +119,22 @@ def test_codim1_retraction_sections():
                 assert compose_theta(r, s).is_identity
 
 
+def test_codim1_retractions_are_complete():
+    # every retraction onto a tree with one edge fewer, each once
+    for n in (1, 2, 3):
+        for e in range(1, 6):
+            targets = enumerate_trees(n, e - 1)
+            for t in enumerate_trees(n, e):
+                pairs = codim1_retractions(t, n)
+                retractions = [r for r, _ in pairs]
+                assert len(set(retractions)) == len(retractions), t
+                want = {
+                    f for u in targets for f in hom_theta(t, u, n) if is_retraction(f)
+                }
+                assert set(retractions) == want, (n, t)
+                assert all(is_face(s) for _, s in pairs), t
+
+
 def test_codim1_retractions_are_cached_tuples():
     t = parse_tree("[[],[[]]]")
     pairs = codim1_retractions(t, 2)
@@ -178,9 +194,10 @@ def test_reedy_factor_examples():
     assert deg.is_identity and face == f
 
 
-def test_reedy_factor_properties_n2():
-    for s, t in itertools.product(all_trees(2, 3), repeat=2):
-        for f in hom_theta(s, t, 2):
+@pytest.mark.parametrize("n", [2, 3])
+def test_reedy_factor_properties(n):
+    for s, t in itertools.product(all_trees(n, 3), repeat=2):
+        for f in hom_theta(s, t, n):
             deg, face = reedy_factor(f)
             assert compose_theta(face, deg) == f
             assert is_retraction(deg)
