@@ -177,10 +177,9 @@ def h_pi_act(
     tuple in pi^m whose i-th entry is the sum of x over u's i-th subset."""
     if len(x) != u.target:
         raise GammaShapeError(f"element has length {len(x)}, expected {u.target}")
-    out = []
-    for i in range(1, u.source + 1):
-        acc = pi.neutral
-        for j in u(i):
-            acc = pi.add(acc, x[j - 1])
-        out.append(acc)
-    return tuple(out)
+    neutral = pi.neutral
+    return tuple(
+        x[sub[0] - 1] if len(sub) == 1
+        else reduce(pi.add, (x[j - 1] for j in sub), neutral)
+        for sub in u.subsets
+    )

@@ -286,16 +286,25 @@ def _bar_faces(x: tuple, add: Callable) -> Iterator[tuple]:
     yield x[:-1]
 
 
+def _addition_table(pi: FiniteAbelianGroup) -> list[list[int]]:
+    """pi.add on the codes 0..|pi|-1 of pi.elements(); the neutral is 0."""
+    code = {x: i for i, x in enumerate(pi.elements())}
+    return [[code[pi.add(x, y)] for y in code] for x in code]
+
+
 def _nerve_chains(pi: FiniteAbelianGroup, dim_bound: int) -> F2ChainComplex:
     """Normalized F2 chains of the classical nerve of pi, built directly
-    from the group multiplication."""
-    neutral = pi.neutral
+    from the group multiplication on integer codes."""
+    table = _addition_table(pi)
+
+    def add(a: int, b: int) -> int:
+        return table[a][b]
 
     def faces(k: int, x: tuple) -> Iterator[tuple]:
-        return (face for face in _bar_faces(x, pi.add) if neutral not in face)
+        return (face for face in _bar_faces(x, add) if 0 not in face)
 
     basis = [
-        list(itertools.product(pi.non_neutral(), repeat=k))
+        list(itertools.product(range(1, len(table)), repeat=k))
         for k in range(dim_bound + 1)
     ]
     return _f2_chains(basis, faces)
@@ -308,20 +317,20 @@ def _double_nerve_chains(
     nerve of pi (the bisimplicial set underlying K(pi,2) pulled back along
     the bi-simplicial diagonal).
 
-    Cells in bidegree (a,b) are a x b matrices over pi; the doubly
-    non-degenerate ones are those without an all-neutral row or column,
-    and the 0 x 0 one.  Horizontal faces drop or merge rows, vertical
-    faces columns.
+    Cells in bidegree (a,b) are a x b matrices over pi, its elements coded
+    as in _addition_table; the doubly non-degenerate ones are those without
+    an all-neutral (all-zero) row or column, and the 0 x 0 one.  Horizontal
+    faces drop or merge rows, vertical faces columns.
     """
-    neutral = pi.neutral
+    table = _addition_table(pi)
 
     def nondeg(a: int, b: int, matrix: tuple) -> bool:
         if not (a and b):
             return a == b == 0
-        return (neutral,) * b not in matrix and (neutral,) * a not in zip(*matrix)
+        return all(map(any, matrix)) and all(map(any, zip(*matrix)))
 
     def add_rows(u: tuple, v: tuple) -> tuple:
-        return tuple(map(pi.add, u, v))
+        return tuple(map(list.__getitem__, map(table.__getitem__, u), v))
 
     def faces(d: int, cell: tuple) -> Iterator[tuple]:
         a, b, matrix = cell
@@ -338,7 +347,7 @@ def _double_nerve_chains(
             (a, d - a, matrix)
             for a in range(d + 1)
             for matrix in itertools.product(
-                list(itertools.product(pi.elements(), repeat=d - a)), repeat=a
+                list(itertools.product(range(len(table)), repeat=d - a)), repeat=a
             )
             if nondeg(a, d - a, matrix)
         ]

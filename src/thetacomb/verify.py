@@ -1,7 +1,9 @@
 """Invariant suites shared by the CLI `verify` command and the test suite.
 
 Each suite returns a list of (check-name, passed, detail) triples; a
-suite passes iff every triple does.
+suite passes iff every triple does.  The exhaustive n=2 suites
+(wreath-laws, factorization, gamma-functor) share one composition table
+per process, filled lazily by composition_table.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .counting import euler_char, fib_numbers, gf_coefficients, gf_em
 from .gamma import FiniteAbelianGroup, compose_gamma, parse_group
@@ -42,53 +45,51 @@ def sample_trees(n: int, max_edges: int) -> list[LevelTree]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _positions(s: LevelTree, t: LevelTree) -> dict[ThetaOperator, int]:
+    return {op: i for i, op in enumerate(hom_theta(s, t, 2))}
+
+
+@lru_cache(maxsize=None)
+def composition_table(s: LevelTree, t: LevelTree, u: LevelTree) -> tuple[bytes, ...]:
+    """Row i, byte j: the index in hom_theta(s, u, 2) of g_j . f_i, for f_i in
+    hom_theta(s, t, 2) and g_j in hom_theta(t, u, 2) (the sample's hom-sets
+    have at most 35 operators).  Each composable pair is composed once per
+    process; a composite outside hom_theta(s, u, 2) raises KeyError."""
+    pos, hom_tu = _positions(s, u), hom_theta(t, u, 2)
+    return tuple(
+        bytes(pos[compose_theta(g, f)] for g in hom_tu) for f in hom_theta(s, t, 2)
+    )
+
+
 def suite_wreath_laws(seed: int = 0) -> list[Check]:
     checks: list[Check] = []
     trees = sample_trees(2, 3)
-    homs = {
-        (s, t): hom_theta(s, t, 2) for s in trees for t in trees
-    }
     bad_identity = 0
-    for (s, t), ops in homs.items():
-        id_s, id_t = identity_theta(s, 2), identity_theta(t, 2)
-        for f in ops:
-            if compose_theta(f, id_s) != f or compose_theta(id_t, f) != f:
-                bad_identity += 1
+    for s, t in itertools.product(trees, repeat=2):
+        f_id = composition_table(s, s, t)[_positions(s, s)[identity_theta(s, 2)]]
+        id_t = _positions(t, t)[identity_theta(t, 2)]
+        bad_identity += sum(
+            f_id[i] != i or row[id_t] != i
+            for i, row in enumerate(composition_table(s, t, t))
+        )
     checks.append(
         ("identity laws, exhaustive n=2 trees <= 3 edges", bad_identity == 0,
          f"{bad_identity} violations")
     )
-    # associativity over all 4.1M composable triples: precompute composition
-    # tables as index arrays, then check h(gf) = (hg)f by table lookups
-    positions = {
-        pair: {op: i for i, op in enumerate(ops)} for pair, ops in homs.items()
-    }
-    tables: dict[tuple, list[list[int]]] = {}
-    for s, t, u in itertools.product(trees, repeat=3):
-        pos = positions[(s, u)]
-        tables[(s, t, u)] = [
-            [pos[compose_theta(g, f)] for g in homs[(t, u)]]
-            for f in homs[(s, t)]
-        ]
+    # associativity over all 4.1M composable triples, one (s, t, u, v, f) at
+    # a time: the row of f, as a translation table, sends each hg to (hg)f
     bad_assoc = 0
     total = 0
     for s, t, u, v in itertools.product(trees, repeat=4):
-        t_stu = tables[(s, t, u)]
-        t_tuv = tables[(t, u, v)]
-        t_suv = tables[(s, u, v)]
-        t_stv = tables[(s, t, v)]
-        n_h = len(homs[(u, v)])
-        for fi in range(len(homs[(s, t)])):
-            row_f = t_stu[fi]
-            row_fv = t_stv[fi]
-            for gi in range(len(homs[(t, u)])):
-                gf = row_f[gi]
-                row_g = t_tuv[gi]
-                row_gf = t_suv[gf]
-                for hi in range(n_h):
-                    total += 1
-                    if row_fv[row_g[hi]] != row_gf[hi]:
-                        bad_assoc += 1
+        t_stv, t_suv = composition_table(s, t, v), composition_table(s, u, v)
+        hg = b"".join(composition_table(t, u, v))
+        for row_f, row_fv in zip(composition_table(s, t, u), t_stv):
+            hg_f = hg.translate(row_fv.ljust(256, b"\0"))
+            h_gf = b"".join(map(t_suv.__getitem__, row_f))
+            total += len(hg_f)
+            if hg_f != h_gf:
+                bad_assoc += sum(a != b for a, b in zip(hg_f, h_gf))
     checks.append(
         ("associativity, exhaustive n=2 trees <= 3 edges", bad_assoc == 0,
          f"{bad_assoc}/{total} violations")
@@ -115,20 +116,24 @@ def suite_wreath_laws(seed: int = 0) -> list[Check]:
 def brute_force_reedy(
     f: ThetaOperator,
     trees: list[LevelTree],
-    homs: dict,
     mono_cache: dict,
 ) -> list[tuple[ThetaOperator, ThetaOperator]]:
-    """All factorizations f = m . r with r a retraction and m monic, the
-    mono test delegated to reedy_factor as an independent cross-check."""
+    """All factorizations f = m . r, r a retraction and m monic, read off the
+    composition table; reedy_factor is the independent mono test."""
     found = []
+    fi = _positions(f.source, f.target)[f]
     for u in trees:
         if u.edges > f.source.edges:
             continue
-        for r in homs[(f.source, u)]:
-            if not is_retraction(r):
-                continue
-            for m in homs[(u, f.target)]:
-                if compose_theta(m, r) != f:
+        retractions = [
+            (r, i) for i, r in enumerate(hom_theta(f.source, u, 2)) if is_retraction(r)
+        ]
+        if not retractions:
+            continue
+        table = composition_table(f.source, u, f.target)
+        for r, i in retractions:
+            for m, mr in zip(hom_theta(u, f.target, 2), table[i]):
+                if mr != fi:
                     continue
                 if m not in mono_cache:
                     mono_cache[m] = reedy_factor(m)[0].is_identity
@@ -140,12 +145,11 @@ def brute_force_reedy(
 def suite_factorization() -> list[Check]:
     checks: list[Check] = []
     trees = sample_trees(2, 3)
-    homs = {(s, t): hom_theta(s, t, 2) for s in trees for t in trees}
     mono_cache: dict = {}
     bad = []
     count = 0
-    for (s, t), ops in homs.items():
-        for f in ops:
+    for s, t in itertools.product(trees, repeat=2):
+        for f in hom_theta(s, t, 2):
             count += 1
             degeneracy, face = reedy_factor(f)
             if compose_theta(face, degeneracy) != f:
@@ -154,7 +158,7 @@ def suite_factorization() -> list[Check]:
             if not is_retraction(degeneracy):
                 bad.append((f, "degeneracy part is not a retraction"))
                 continue
-            pairs = brute_force_reedy(f, trees, homs, mono_cache)
+            pairs = brute_force_reedy(f, trees, mono_cache)
             if len(pairs) != 1:
                 bad.append((f, f"brute force found {len(pairs)} factorizations"))
             elif pairs[0] != (degeneracy, face):
@@ -173,23 +177,25 @@ def suite_factorization() -> list[Check]:
 def suite_gamma_functor() -> list[Check]:
     checks: list[Check] = []
     trees = sample_trees(2, 3)
-    homs = {(s, t): hom_theta(s, t, 2) for s in trees for t in trees}
+    gammas = {
+        (s, t): [gamma_n(f) for f in hom_theta(s, t, 2)] for s in trees for t in trees
+    }
     bad_fun = 0
     total = 0
     for s, t, u in itertools.product(trees, repeat=3):
-        for f in homs[(s, t)]:
-            gf_f = gamma_n(f)
-            for g in homs[(t, u)]:
+        g_su, g_tu = gammas[(s, u)], gammas[(t, u)]
+        for row, gamma_f in zip(composition_table(s, t, u), gammas[(s, t)]):
+            for gf, gamma_g in zip(row, g_tu):
                 total += 1
-                if gamma_n(compose_theta(g, f)) != compose_gamma(gamma_n(g), gf_f):
+                if g_su[gf] != compose_gamma(gamma_g, gamma_f):
                     bad_fun += 1
     checks.append(
         ("gamma_n functoriality, exhaustive n=2 trees <= 3 edges",
          bad_fun == 0, f"{bad_fun}/{total} violations")
     )
     bad_susp = 0
-    for ops in homs.values():
-        for f in ops:
+    for s, t in gammas:
+        for f in hom_theta(s, t, 2):
             if gamma_n(suspend(f)) != gamma_n(f):
                 bad_susp += 1
     checks.append(

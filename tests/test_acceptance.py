@@ -21,9 +21,19 @@ from thetacomb.presheaf import (
     product_census,
     product_set,
 )
-from thetacomb.theta import dim_theta
+from thetacomb import verify
+from thetacomb.theta import (
+    compose_theta,
+    dim_theta,
+    gamma_n,
+    hom_theta,
+    is_retraction,
+    reedy_factor,
+)
 from thetacomb.trees import _MEMO, corolla, enumerate_trees
-from thetacomb.verify import run_suites
+from thetacomb.verify import SUITES, run_suites, sample_trees
+
+THETA2_SUITES = ["wreath-laws", "factorization", "gamma-functor"]
 
 
 def _report(number, label, started, budget):
@@ -197,3 +207,55 @@ def test_em_homology_builds_no_theta_operators(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert [int(line.split(",")[1]) for line in out.splitlines()[1:]] == serre_betti_z2(3, 8)
+
+
+def _wrong_composite():
+    """A non-identity retraction r: s -> t, a non-identity mono m: t -> u
+    with u small enough to have a proper face of its own, and an operator
+    w: s -> u whose gamma_n differs from that of m . r."""
+    trees = sample_trees(2, 3)
+    for s, t, u in itertools.product(trees, repeat=3):
+        if u.edges == 3:
+            continue
+        for r in hom_theta(s, t, 2):
+            if r.is_identity or not is_retraction(r):
+                continue
+            for m in hom_theta(t, u, 2):
+                if m.is_identity or not reedy_factor(m)[0].is_identity:
+                    continue
+                gamma_mr = gamma_n(compose_theta(m, r))
+                for w in hom_theta(s, u, 2):
+                    if gamma_n(w) != gamma_mr:
+                        return m, r, w
+    raise AssertionError("the sample has no such pair")
+
+
+def test_a_wrong_composite_fails_every_theta2_suite(monkeypatch):
+    m, r, w = _wrong_composite()
+
+    def wrong_compose(g, f):
+        return w if (g, f) == (m, r) else compose_theta(g, f)
+
+    verify.composition_table.cache_clear()
+    monkeypatch.setattr(verify, "compose_theta", wrong_compose)
+    try:
+        for name in THETA2_SUITES:
+            assert not all(ok for _, ok, _ in run_suites([name])), name
+    finally:
+        verify.composition_table.cache_clear()
+
+
+def test_theta2_suites_give_the_same_checks_in_any_order():
+    alone = {}
+    for name in THETA2_SUITES:
+        verify.composition_table.cache_clear()
+        alone[name] = run_suites([name])
+    verify.composition_table.cache_clear()
+    together = run_suites(list(SUITES))
+    assert together[: sum(map(len, alone.values()))] == [
+        check for name in THETA2_SUITES for check in alone[name]
+    ]
+    verify.composition_table.cache_clear()
+    assert run_suites(THETA2_SUITES[::-1]) == [
+        check for name in THETA2_SUITES[::-1] for check in alone[name]
+    ]
