@@ -17,7 +17,7 @@ from fractions import Fraction
 from .counting import euler_char, fib_numbers
 from .gamma import parse_group
 from .presheaf import cell_census, em_chains, em_set, homology_f2, oracle_multisimplicial
-from .trees import enumerate_pruned, enumerate_trees
+from .trees import iter_trees
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -36,12 +36,7 @@ def _emit_table(header: tuple[str, str], rows: list[tuple], fmt: str) -> None:
 
 
 def cmd_trees(args) -> int:
-    listing = (
-        enumerate_pruned(args.n, args.edges)
-        if args.pruned
-        else enumerate_trees(args.n, args.edges)
-    )
-    for tree in listing:
+    for tree in iter_trees(args.n, args.edges, args.pruned):
         print(tree.render())
     return EXIT_OK
 

@@ -4,8 +4,11 @@ A level-tree is a finite planar rooted tree; vertices are graded by their
 edge-distance from the root.  Trees of height <= n are the cell shapes used
 throughout the rest of the library.  This module provides the data
 structure, a bracket-string encoding, enumeration of all trees or only
-the pruned ones by one memoised recursion, and the star construction
-producing globular n-graphs.
+the pruned ones, and the star construction producing globular n-graphs.
+
+Enumeration generates the trees already in lexicographic order of their
+bracket strings and streams them: no sort, and the only memo is the
+ordered list of candidate children per height.
 """
 
 from __future__ import annotations
@@ -41,7 +44,15 @@ class LevelTree:
         return sum(1 + c.edges for c in self.children)
 
     def render(self) -> str:
-        return "[" + ",".join(c.render() for c in self.children) + "]"
+        """The bracket encoding, joined from the children's on first use and
+        kept.  It is a plain attribute, not a cached_property: reaching
+        through __dict__ would give every rendered tree a dict of its own."""
+        try:
+            return self._bracket
+        except AttributeError:
+            text = "[" + ",".join(c.render() for c in self.children) + "]"
+            object.__setattr__(self, "_bracket", text)
+            return text
 
     def __str__(self) -> str:
         return self.render()
@@ -121,53 +132,78 @@ def is_pruned(tree: LevelTree, n: int) -> bool:
     return all(is_pruned(c, n - 1) for c in tree.children)
 
 
-def _forests(h: int, w: int, pruned: bool, memo) -> Iterator[tuple[LevelTree, ...]]:
-    """Ordered forests of _trees(h, ., pruned) whose edges plus one per
-    branch total w."""
-    if w == 0:
-        yield ()
-        return
-    least = h if pruned else 0  # the fewest edges a branch can have
-    for e in range(w):
-        rest = w - 1 - e
-        if 0 < rest <= least:
-            continue  # no branch fits in the rest
-        for head in _trees(h, e, pruned, memo):
-            for tail in _forests(h, rest, pruned, memo):
-                yield (head, *tail)
-
-
-def _trees(n: int, e: int, pruned: bool, memo) -> list[LevelTree]:
-    """The trees with e edges and height <= n, or if pruned only those with
-    every leaf at height n."""
-    key = (n, e, pruned)
-    if key not in memo:
-        if e == 0:
-            memo[key] = [] if pruned and n else [LEAF]
-        elif n == 0:
-            memo[key] = []
+def _forests(kids: list, high: int, slack: int, least: int) -> Iterator[tuple]:
+    """(forest, weight) for the forests over kids, (tree, edges) pairs in
+    bracket order, whose edges plus one per branch lie in [high - slack,
+    high], in bracket order.  A forest sorts after its extensions, because
+    ',' < ']', so the stack walk yields it after all of them.  A rest with
+    0 < rest <= least fits no branch; it is skipped unless the forest may
+    end there."""
+    # weight left -> the kids that fit in it
+    fits = [[kid for kid in kids if kid[1] < w and not slack < w - 1 - kid[1] <= least]
+            for w in range(high + 1)]
+    branch: list[LevelTree] = []
+    stack = [(iter(fits[high]), high)]
+    while stack:
+        options, left = stack[-1]
+        for tree, e in options:
+            branch.append(tree)
+            stack.append((iter(fits[left - 1 - e]), left - 1 - e))
+            break
         else:
-            memo[key] = [LevelTree(f) for f in _forests(n - 1, e, pruned, memo)]
-    return memo[key]
+            stack.pop()
+            if left <= slack:
+                yield tuple(branch), high - left
+            if branch:
+                branch.pop()
 
 
-_MEMO: dict[tuple[int, int, bool], list[LevelTree]] = {}
+# (height, pruned) -> (edge bound, _ordered list at that bound)
+_CHILDREN: dict[tuple[int, bool], tuple[int, list]] = {}
+
+
+def _ordered(h: int, most: int, pruned: bool) -> list[tuple[LevelTree, int]]:
+    """(tree, edges) for the trees of height <= h, or if pruned those with
+    every leaf at height h, with at most `most` edges, in bracket order.
+    Built once per height at the largest bound asked for, then filtered."""
+    if h == 0:
+        return [(LEAF, 0)] if most >= 0 else []
+    built, listing = _CHILDREN.get((h, pruned), (-1, []))
+    if built < most:
+        kids = _ordered(h - 1, most - 1, pruned)
+        # a pruned tree of height h >= 1 has a branch, so weight >= 1
+        forests = _forests(kids, most, most - pruned, h - 1 if pruned else 0)
+        listing = [(LevelTree(forest), e) for forest, e in forests]
+        _CHILDREN[(h, pruned)] = (most, listing)
+        return listing
+    return [kid for kid in listing if kid[1] <= most]
+
+
+def iter_trees(n: int, e: int, pruned: bool = False) -> Iterator[LevelTree]:
+    """The trees with e edges and height <= n, or if pruned only those with
+    every leaf at height n, one at a time in lexicographic order of the
+    bracket encoding."""
+    if n < 0:
+        raise ValueError("tree height bound n must be >= 0")
+    if pruned and n < 1:
+        raise ValueError("pruned enumeration needs n >= 1")
+    if e == 0 or n == 0:
+        return iter([LEAF] if e == 0 and not pruned else [])
+    kids = _ordered(n - 1, e - 1, pruned)  # a pruned branch has >= n - 1 edges
+    forests = _forests(kids, e, 0, n - 1 if pruned else 0)
+    return (LevelTree(forest) for forest, _ in forests)
 
 
 def enumerate_trees(n: int, e: int) -> list[LevelTree]:
     """All level-trees with exactly e edges and height <= n, in
     lexicographic order of the bracket encoding."""
-    if n < 0:
-        raise ValueError("tree height bound n must be >= 0")
-    return sorted(_trees(n, e, False, _MEMO), key=LevelTree.render)
+    return list(iter_trees(n, e))
 
 
 def enumerate_pruned(n: int, e: int) -> list[LevelTree]:
     """All pruned n-trees (every leaf at height exactly n) with e edges, in
     the same order."""
-    if n < 1:
-        raise ValueError("pruned enumeration needs n >= 1")
-    return sorted(_trees(n, e, True, _MEMO), key=LevelTree.render)
+    return list(iter_trees(n, e, pruned=True))
 
 
 # --- star construction -------------------------------------------------

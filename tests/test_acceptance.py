@@ -30,7 +30,7 @@ from thetacomb.theta import (
     is_retraction,
     reedy_factor,
 )
-from thetacomb.trees import _MEMO, corolla, enumerate_trees
+from thetacomb.trees import _CHILDREN, corolla, enumerate_trees
 from thetacomb.verify import SUITES, run_suites, sample_trees
 
 THETA2_SUITES = ["wreath-laws", "factorization", "gamma-functor"]
@@ -56,7 +56,7 @@ def test_criterion_01_fibonacci_cell_counts(capsys):
 
 def test_criterion_02_recursion_law_on_enumerated_counts(capsys):
     # time a cold enumeration whatever ran before in this process
-    _MEMO.clear()
+    _CHILDREN.clear()
     started = time.perf_counter()
     for n in range(1, 5):
         for p in (2, 3, 5):

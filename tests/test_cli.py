@@ -130,13 +130,22 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    "trees --n 1 --edges 1000 --pruned",
     "em homology --n 250 --group z2 --max-dim 251",
 ])
 def test_too_deep_input_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and "recursion limit" in err
+
+
+def test_wide_corollas_are_answered(capsys):
+    code, out, _ = run_cli(capsys, "trees", "--n", "1", "--edges", "1000", "--pruned")
+    assert code == 0 and out == "[" + ",".join(["[]"] * 1000) + "]\n"
+    code, out, _ = run_cli(
+        capsys, "em", "cells", "--n", "1", "--group", "z2", "--max-dim", "1000"
+    )
+    assert code == 0
+    assert out.splitlines() == ["dimension,count"] + [f"{d},1" for d in range(1001)]
 
 
 def test_verify_suite(capsys):

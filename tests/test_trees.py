@@ -1,5 +1,9 @@
+import itertools
+
 import pytest
 
+from thetacomb.gamma import parse_group
+from thetacomb.presheaf import em_set
 from thetacomb.trees import (
     LEAF,
     LevelTree,
@@ -79,6 +83,85 @@ def test_render_round_trip():
     for e in range(9):
         for t in enumerate_trees(3, e):
             assert parse_tree(t.render()) == t
+
+
+def _oracle_forests(h, w, pruned, memo):
+    """Ordered forests of _oracle_trees(h, ., pruned) whose edges plus one
+    per branch total w, by nested generators."""
+    if w == 0:
+        yield ()
+        return
+    least = h if pruned else 0  # the fewest edges a branch can have
+    for e in range(w):
+        rest = w - 1 - e
+        if 0 < rest <= least:
+            continue  # no branch fits in the rest
+        for head in _oracle_trees(h, e, pruned, memo):
+            for tail in _oracle_forests(h, rest, pruned, memo):
+                yield (head, *tail)
+
+
+def _oracle_trees(n, e, pruned, memo):
+    """The trees with e edges and height <= n (pruned: every leaf at
+    height n), memoised per (n, e) in any order."""
+    key = (n, e, pruned)
+    if key not in memo:
+        if e == 0:
+            memo[key] = [] if pruned and n else [LEAF]
+        elif n == 0:
+            memo[key] = []
+        else:
+            memo[key] = [LevelTree(f) for f in _oracle_forests(n - 1, e, pruned, memo)]
+    return memo[key]
+
+
+def _plain_render(tree):
+    """The bracket encoding rebuilt recursively, with nothing cached."""
+    return "[" + ",".join(_plain_render(c) for c in tree.children) + "]"
+
+
+_ORACLE_MEMO: dict = {}
+
+
+def oracle_listing(n, e, pruned=False):
+    """Every tree of the family, sorted by its uncached bracket string."""
+    return sorted(_oracle_trees(n, e, pruned, _ORACLE_MEMO), key=_plain_render)
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+def test_generated_order_matches_sorted_oracle(pruned):
+    for n in range(1 if pruned else 0, 5):
+        for e in range(11):
+            want = oracle_listing(n, e, pruned)
+            got = enumerate_pruned(n, e) if pruned else enumerate_trees(n, e)
+            assert got == want, (n, e)
+            assert [t.render() for t in got] == [_plain_render(t) for t in want]
+
+
+def test_cached_render_is_the_plain_render_and_parses_back():
+    for n in range(5):
+        for e in range(9):
+            for t in enumerate_trees(n, e):
+                fresh = parse_tree(_plain_render(t))  # nothing cached yet
+                assert fresh.render() == _plain_render(t) == t.render()
+                assert parse_tree(t.render()) == t
+                assert fresh.render() is fresh.render()
+
+
+def test_em_bases_keep_the_oracle_order():
+    # the basis order feeds every boundary matrix
+    for group in ("z2", "z3"):
+        pi = parse_group(group)
+        for n in range(1, 4):
+            cells = em_set(pi, n).nondeg_cells
+            for d in range(1, 9):
+                want = [
+                    (t, x)
+                    for t in oracle_listing(n, d, pruned=True)
+                    for x in itertools.product(
+                        pi.non_neutral(), repeat=len(vertices_at_height(t, n)))
+                ]
+                assert cells(d) == want, (group, n, d)
 
 
 def test_vertices_at_height():
@@ -167,6 +250,8 @@ def test_enumerate_pruned_is_not_exponential():
     # a pruned 1-tree is a corolla; walking compositions of the edges would
     # take 2^59 steps here
     assert enumerate_pruned(1, 60) == [corolla(60)]
+    # branches are walked in a loop, not by one nested generator each
+    assert enumerate_pruned(1, 1000) == enumerate_trees(1, 1000) == [corolla(1000)]
     assert len(enumerate_pruned(2, 20)) == 4181
 
 
