@@ -137,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "homology":
             p.add_argument("--oracle", action="store_true",
-                           help="cross-check against the (double) nerve oracle, n <= 2")
+                           help="cross-check against Kunneth (n = 1) or the double "
+                                "nerve (n = 2)")
         p.set_defaults(func=cmd_em)
 
     p_count = sub.add_parser("count", help="Fibonacci counts and Euler characteristic")

@@ -5,9 +5,11 @@ K(pi,n) = gamma_n^*(H pi): a tree evaluates to labelings of its height-n
 vertices by elements of pi, operators act through gamma_n and subset
 sums.  Also here: products of representables, reduction to the
 non-degenerate core, cell censuses, mod-2 cellular chains with homology
-(for K(pi,n) also built on its labelled pruned trees by em_chains, the
-iterated bar construction, with chain_complex's Theta operators as the
-oracle), and an independent (multi)simplicial oracle for the homology.
+(for K(pi,n) also built by em_chains, the iterated bar construction run
+on each labelled pruned tree read as a bar word n deep, with
+chain_complex's Theta operators as the oracle), and an independent
+oracle for the homology: Kunneth's closed form at n=1 and the double
+nerve at n=2.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .theta import (
     peel,
 )
 from .trees import (
-    LEAF, LevelTree, corolla, count_at_height, enumerate_pruned, enumerate_trees
+    LEAF, LevelTree, count_at_height, enumerate_pruned, enumerate_trees
 )
 
 
@@ -214,41 +216,43 @@ def chain_complex(x_set: FiniteThetaSet, dim_bound: int) -> F2ChainComplex:
 def em_chains(pi: FiniteAbelianGroup, n: int, dim_bound: int) -> F2ChainComplex:
     """The F2 chains of K(pi,n) on its cells (tree, labels), with the basis
     and boundary of chain_complex(em_set(pi, n), dim_bound) and no Theta
-    operator: the Eilenberg-Mac Lane iterated bar construction.  A level-1
-    face is a bar face without neutral labels; a level-k face is a face
-    inside one root branch that leaves it non-empty, or merges two adjacent
-    branches along a shuffle of their children, which keep their labels."""
+    operator: the Eilenberg-Mac Lane iterated bar construction.  Each cell
+    is read once as a bar word n deep: a level-0 letter is a label, a
+    level-k word the tuple of its root branches' level-(k-1) words.  A
+    level-1 face is a bar face without neutral labels; a level-k face is a
+    face inside one letter that leaves it non-empty, or merges two adjacent
+    letters along a shuffle of their entries."""
     neutral = pi.neutral
+    shared: dict[tuple, tuple] = {}  # one copy of each sub-word
 
-    def branches(tree: LevelTree, labels: tuple, k: int) -> list:
-        cuts = (0, *itertools.accumulate(count_at_height(c, k - 1) for c in tree.children))
-        return [(c, labels[i:j]) for c, i, j in zip(tree.children, cuts, cuts[1:])]
+    def word(k: int, tree: LevelTree, labels: Iterator) -> tuple:
+        if k == 0:
+            return next(labels)
+        w = tuple(word(k - 1, c, labels) for c in tree.children)
+        return shared.setdefault(w, w)
 
-    def graft(parts: list) -> tuple[LevelTree, tuple]:
-        trees, labels = zip(*parts)
-        return LevelTree(trees), tuple(itertools.chain(*labels))
-
-    def faces(k: int, tree: LevelTree, labels: tuple) -> Iterator:
+    def faces(k: int, w: tuple) -> Iterator[tuple]:
         if k == 1:
-            for face in _bar_faces(labels, pi.add):
-                if neutral not in face:
-                    yield corolla(len(face)), face
+            yield from (face for face in _bar_faces(w, pi.add) if neutral not in face)
             return
-        parts = branches(tree, labels, k)
-        for j, part in enumerate(parts):
-            for face in faces(k - 1, *part):
-                if face[0].children:
-                    yield graft(parts[:j] + [face] + parts[j + 1 :])
-        for j in range(len(parts) - 1):
-            left, right = branches(*parts[j], k - 1), branches(*parts[j + 1], k - 1)
+        for j, letter in enumerate(w):
+            for face in faces(k - 1, letter):
+                if face:
+                    yield w[:j] + (face,) + w[j + 1 :]
+        for j in range(len(w) - 1):
+            left, right = w[j], w[j + 1]
             size = len(left) + len(right)
             for picks in itertools.combinations(range(size), len(left)):
                 lefts, rights = iter(left), iter(right)
-                merged = [next(lefts) if i in picks else next(rights) for i in range(size)]
-                yield graft(parts[:j] + [graft(merged)] + parts[j + 2 :])
+                merged = tuple(next(lefts) if i in picks else next(rights) for i in range(size))
+                yield w[:j] + (merged,) + w[j + 2 :]
 
     basis = list(map(em_set(pi, n).nondeg_cells, range(dim_bound + 1)))
-    return _f2_chains(basis, lambda d, cell: faces(n, *cell))
+    words = [[word(n, tree, iter(labels)) for tree, labels in layer] for layer in basis]
+    shared.clear()
+    complex_ = _f2_chains(words, lambda d, w: faces(n, w))
+    complex_.basis = basis
+    return complex_
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -274,7 +278,7 @@ def homology_f2(complex_: F2ChainComplex, degree: int) -> int:
     return kernel - complex_.ranks[degree + 1]
 
 
-# --- independent (multi)simplicial oracle ------------------------------
+# --- independent oracle: Kunneth at n=1, the double nerve at n=2 -------
 
 
 def _bar_faces(x: tuple, add: Callable) -> Iterator[tuple]:
@@ -290,24 +294,6 @@ def _addition_table(pi: FiniteAbelianGroup) -> list[list[int]]:
     """pi.add on the codes 0..|pi|-1 of pi.elements(); the neutral is 0."""
     code = {x: i for i, x in enumerate(pi.elements())}
     return [[code[pi.add(x, y)] for y in code] for x in code]
-
-
-def _nerve_chains(pi: FiniteAbelianGroup, dim_bound: int) -> F2ChainComplex:
-    """Normalized F2 chains of the classical nerve of pi, built directly
-    from the group multiplication on integer codes."""
-    table = _addition_table(pi)
-
-    def add(a: int, b: int) -> int:
-        return table[a][b]
-
-    def faces(k: int, x: tuple) -> Iterator[tuple]:
-        return (face for face in _bar_faces(x, add) if 0 not in face)
-
-    basis = [
-        list(itertools.product(range(1, len(table)), repeat=k))
-        for k in range(dim_bound + 1)
-    ]
-    return _f2_chains(basis, faces)
 
 
 def _double_nerve_chains(
@@ -359,12 +345,17 @@ def _double_nerve_chains(
 def oracle_multisimplicial(
     pi: FiniteAbelianGroup, n: int, dim_bound: int
 ) -> list[int]:
-    """Independent F2 Betti numbers for degrees 0..dim_bound-1: the nerve
-    of pi for n=1, the double nerve (via its total complex) for n=2."""
+    """Independent F2 Betti numbers for degrees 0..dim_bound-1.  For n=1
+    Kunneth's closed form: each cyclic factor of even order multiplies the
+    Poincare series by 1/(1-t), and those of odd order are F2-acyclic.  For
+    n=2 the double nerve, via its total complex."""
     if n == 1:
-        complex_ = _nerve_chains(pi, dim_bound)
-    elif n == 2:
-        complex_ = _double_nerve_chains(pi, dim_bound)
-    else:
+        betti = [int(d == 0) for d in range(dim_bound)]
+        for m in pi.cyclic_orders:
+            if m % 2 == 0:
+                betti = list(itertools.accumulate(betti))
+        return betti
+    if n != 2:
         raise ValueError(f"oracle unsupported for level {n}")
+    complex_ = _double_nerve_chains(pi, dim_bound)
     return [homology_f2(complex_, d) for d in range(dim_bound)]

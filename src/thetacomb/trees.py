@@ -187,7 +187,7 @@ def iter_trees(n: int, e: int, pruned: bool = False) -> Iterator[LevelTree]:
         raise ValueError("tree height bound n must be >= 0")
     if pruned and n < 1:
         raise ValueError("pruned enumeration needs n >= 1")
-    if e == 0 or n == 0:
+    if e == 0 or n == 0 or pruned and e < n:  # a pruned n-tree has >= n edges
         return iter([LEAF] if e == 0 and not pruned else [])
     kids = _ordered(n - 1, e - 1, pruned)  # a pruned branch has >= n - 1 edges
     forests = _forests(kids, e, 0, n - 1 if pruned else 0)

@@ -130,7 +130,8 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    "em homology --n 250 --group z2 --max-dim 251",
+    "trees --n 1500 --edges 1500 --pruned",
+    "em cells --n 1500 --group z2 --max-dim 1500",
 ])
 def test_too_deep_input_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
@@ -146,6 +147,16 @@ def test_wide_corollas_are_answered(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["dimension,count"] + [f"{d},1" for d in range(1001)]
+
+
+def test_deep_homology_is_answered(capsys):
+    # K(Z/2,250) through degree 250: the point and the linear 250-tree
+    code, out, _ = run_cli(
+        capsys, "em", "homology", "--n", "250", "--group", "z2", "--max-dim", "251"
+    )
+    assert code == 0
+    betti = [1 if d in (0, 250) else 0 for d in range(251)]
+    assert out.splitlines() == ["degree,betti_f2"] + [f"{d},{b}" for d, b in enumerate(betti)]
 
 
 def test_verify_suite(capsys):

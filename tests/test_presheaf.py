@@ -251,7 +251,8 @@ def test_f2_chains_rejects_face_outside_basis():
 
 
 def test_homology_vs_oracle():
-    for spec, n, bound in (("z2", 1, 7), ("z3", 1, 6), ("z2", 2, 6)):
+    for spec, n, bound in (("z2", 1, 7), ("z3", 1, 6), ("z2", 2, 6), ("z4", 1, 5),
+                           ("z6", 1, 4), ("z2xz2", 1, 5), ("z2xz3", 1, 4)):
         pi = parse_group(spec)
         c = chain_complex(em_set(pi, n), bound)
         ours = [homology_f2(c, d) for d in range(bound)]
