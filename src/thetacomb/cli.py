@@ -17,7 +17,7 @@ from fractions import Fraction
 from .counting import euler_char, fib_numbers
 from .gamma import parse_group
 from .presheaf import cell_census, em_chains, em_set, homology_f2, oracle_multisimplicial
-from .trees import iter_trees
+from .trees import iter_forests, render_forest
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -36,8 +36,8 @@ def _emit_table(header: tuple[str, str], rows: list[tuple], fmt: str) -> None:
 
 
 def cmd_trees(args) -> int:
-    for tree in iter_trees(args.n, args.edges, args.pruned):
-        print(tree.render())
+    for forest in iter_forests(args.n, args.edges, args.pruned):
+        print(render_forest(forest))
     return EXIT_OK
 
 

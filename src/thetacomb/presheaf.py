@@ -29,7 +29,7 @@ from .theta import (
     peel,
 )
 from .trees import (
-    LEAF, LevelTree, count_at_height, enumerate_pruned, enumerate_trees
+    LEAF, LevelTree, count_at_height, enumerate_pruned, enumerate_trees, iter_forests
 )
 
 
@@ -71,9 +71,12 @@ def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:
         return enumerate_pruned(n, d) if d else [LEAF]
 
     def nondeg_count(d: int) -> int:
+        # streams the roots as child tuples, so counting interns no root
+        if not d:
+            return 1  # the point
         return sum(
-            (pi.order - 1) ** count_at_height(tree, n)
-            for tree in shapes(d)
+            (pi.order - 1) ** sum([count_at_height(kid, n - 1) for kid in forest])
+            for forest in iter_forests(n, d, pruned=True)
         )
 
     def nondeg_cells(d: int) -> list:

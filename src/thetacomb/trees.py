@@ -6,16 +6,19 @@ throughout the rest of the library.  This module provides the data
 structure, a bracket-string encoding, enumeration of all trees or only
 the pruned ones, and the star construction producing globular n-graphs.
 
+Trees are hash-consed: there is one LevelTree object per shape, kept in
+the table _SHAPES, so tree equality is identity and a tree hashes by id.
 Enumeration generates the trees already in lexicographic order of their
-bracket strings and streams them: no sort, and the only memo is the
-ordered list of candidate children per height.
+bracket strings and streams them: no sort, and its only memo is the
+ordered list of candidate children per height.  iter_forests streams the
+roots as child tuples, so a listing read once interns only those
+children.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 
@@ -27,30 +30,49 @@ class TreeParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+# children tuple -> the one LevelTree with those children
+_SHAPES: dict[tuple, "LevelTree"] = {}
+
+
 class LevelTree:
-    """Planar rooted tree; equality is equality of ordered child lists."""
+    """Planar rooted tree, hash-consed: LevelTree(children) returns the one
+    object with that tuple of (themselves unique) children, so equality is
+    identity and the hash is id's, both in C.  height and edges are set
+    once per shape, and the object is frozen."""
 
-    children: tuple["LevelTree", ...] = ()
+    __slots__ = ("children", "height", "edges", "_bracket")
 
-    @cached_property
-    def height(self) -> int:
-        if not self.children:
-            return 0
-        return 1 + max(c.height for c in self.children)
+    def __new__(cls, children: tuple["LevelTree", ...] = ()) -> "LevelTree":
+        self = _SHAPES.get(children)
+        if self is None:  # a new shape; a plain loop is the cheapest here
+            height = edges = 0
+            for c in children:
+                edges += 1 + c.edges
+                if c.height >= height:
+                    height = c.height + 1
+            self = object.__new__(cls)
+            object.__setattr__(self, "children", children)
+            object.__setattr__(self, "height", height)
+            object.__setattr__(self, "edges", edges)
+            _SHAPES[children] = self
+        return self
 
-    @cached_property
-    def edges(self) -> int:
-        return sum(1 + c.edges for c in self.children)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LevelTree is frozen; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"LevelTree is frozen; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (LevelTree, (self.children,))
 
     def render(self) -> str:
         """The bracket encoding, joined from the children's on first use and
-        kept.  It is a plain attribute, not a cached_property: reaching
-        through __dict__ would give every rendered tree a dict of its own."""
+        kept."""
         try:
             return self._bracket
         except AttributeError:
-            text = "[" + ",".join(c.render() for c in self.children) + "]"
+            text = render_forest(self.children)
             object.__setattr__(self, "_bracket", text)
             return text
 
@@ -59,6 +81,12 @@ class LevelTree:
 
     def __repr__(self) -> str:
         return f"LevelTree({self.render()!r})"
+
+
+def render_forest(children: tuple[LevelTree, ...]) -> str:
+    """The bracket encoding of the tree with these children, without
+    building that tree."""
+    return "[" + ",".join([c.render() for c in children]) + "]"
 
 
 LEAF = LevelTree()
@@ -133,12 +161,11 @@ def is_pruned(tree: LevelTree, n: int) -> bool:
 
 
 def _forests(kids: list, high: int, slack: int, least: int) -> Iterator[tuple]:
-    """(forest, weight) for the forests over kids, (tree, edges) pairs in
-    bracket order, whose edges plus one per branch lie in [high - slack,
-    high], in bracket order.  A forest sorts after its extensions, because
-    ',' < ']', so the stack walk yields it after all of them.  A rest with
-    0 < rest <= least fits no branch; it is skipped unless the forest may
-    end there."""
+    """The forests over kids, (tree, edges) pairs in bracket order, whose
+    edges plus one per branch lie in [high - slack, high], in bracket
+    order.  A forest sorts after its extensions, because ',' < ']', so the
+    stack walk yields it after all of them.  A rest with 0 < rest <= least
+    fits no branch; it is skipped unless the forest may end there."""
     # weight left -> the kids that fit in it
     fits = [[kid for kid in kids if kid[1] < w and not slack < w - 1 - kid[1] <= least]
             for w in range(high + 1)]
@@ -153,7 +180,7 @@ def _forests(kids: list, high: int, slack: int, least: int) -> Iterator[tuple]:
         else:
             stack.pop()
             if left <= slack:
-                yield tuple(branch), high - left
+                yield tuple(branch)
             if branch:
                 branch.pop()
 
@@ -173,25 +200,30 @@ def _ordered(h: int, most: int, pruned: bool) -> list[tuple[LevelTree, int]]:
         kids = _ordered(h - 1, most - 1, pruned)
         # a pruned tree of height h >= 1 has a branch, so weight >= 1
         forests = _forests(kids, most, most - pruned, h - 1 if pruned else 0)
-        listing = [(LevelTree(forest), e) for forest, e in forests]
+        listing = [(tree, tree.edges) for tree in map(LevelTree, forests)]
         _CHILDREN[(h, pruned)] = (most, listing)
         return listing
     return [kid for kid in listing if kid[1] <= most]
 
 
-def iter_trees(n: int, e: int, pruned: bool = False) -> Iterator[LevelTree]:
-    """The trees with e edges and height <= n, or if pruned only those with
-    every leaf at height n, one at a time in lexicographic order of the
-    bracket encoding."""
+def iter_forests(n: int, e: int, pruned: bool = False) -> Iterator[tuple[LevelTree, ...]]:
+    """The child tuples of the trees with e edges and height <= n, or if
+    pruned only those with every leaf at height n, one at a time in
+    lexicographic order of the bracket encoding.  The roots are not
+    built, so of a listing read once only the children are interned."""
     if n < 0:
         raise ValueError("tree height bound n must be >= 0")
     if pruned and n < 1:
         raise ValueError("pruned enumeration needs n >= 1")
     if e == 0 or n == 0 or pruned and e < n:  # a pruned n-tree has >= n edges
-        return iter([LEAF] if e == 0 and not pruned else [])
+        return iter([()] if e == 0 and not pruned else [])
     kids = _ordered(n - 1, e - 1, pruned)  # a pruned branch has >= n - 1 edges
-    forests = _forests(kids, e, 0, n - 1 if pruned else 0)
-    return (LevelTree(forest) for forest, _ in forests)
+    return _forests(kids, e, 0, n - 1 if pruned else 0)
+
+
+def iter_trees(n: int, e: int, pruned: bool = False) -> Iterator[LevelTree]:
+    """The trees of iter_forests, in the same order."""
+    return map(LevelTree, iter_forests(n, e, pruned))
 
 
 def enumerate_trees(n: int, e: int) -> list[LevelTree]:

@@ -243,6 +243,21 @@ def test_em_cells_height_4_fits_a_small_cap():
     assert [int(count) for _, count in rows[4:]] == fib_numbers(4, 2, 11)
 
 
+def test_tree_listing_height_4_fits_a_small_cap():
+    # the listing streams each root as its tuple of children; a shape
+    # table that also kept the 797,162 roots needed more than 96 MB
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "thetacomb.cli",
+            "trees", "--n", "4", "--edges", "14",
+        ],
+        capture_output=True,
+        env=_capped_env(96),
+    )
+    assert result.returncode == 0
+    assert result.stdout.count(b"\n") == 797162
+
+
 @pytest.mark.parametrize("value", ["abc", "-5"])
 def test_memory_cap_bad_value_is_usage_error(value):
     result = subprocess.run(

@@ -1,9 +1,12 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
+from thetacomb import trees
 from thetacomb.gamma import parse_group
-from thetacomb.presheaf import em_set
+from thetacomb.presheaf import cell_census, em_set
 from thetacomb.trees import (
     LEAF,
     LevelTree,
@@ -13,8 +16,11 @@ from thetacomb.trees import (
     NGraph,
     enumerate_trees,
     is_pruned,
+    iter_forests,
+    iter_trees,
     linear_tree,
     parse_tree,
+    render_forest,
     star,
     vertices_at_height,
 )
@@ -142,10 +148,57 @@ def test_cached_render_is_the_plain_render_and_parses_back():
     for n in range(5):
         for e in range(9):
             for t in enumerate_trees(n, e):
-                fresh = parse_tree(_plain_render(t))  # nothing cached yet
-                assert fresh.render() == _plain_render(t) == t.render()
-                assert parse_tree(t.render()) == t
-                assert fresh.render() is fresh.render()
+                assert parse_tree(_plain_render(t)) is t
+                assert t.render() == _plain_render(t)
+                assert t.render() is t.render()
+
+
+def test_one_object_per_shape():
+    for text in ("[]", "[[],[[]]]", "[[[]],[]]", "[[[[]]],[],[[],[]]]"):
+        assert parse_tree(text) is parse_tree(text)
+    assert LevelTree((LEAF, LEAF)) is corolla(2) is parse_tree("[[],[]]")
+    assert LevelTree((LEAF,)) is not LevelTree((LEAF, LEAF))
+    assert len({t for e in range(7) for t in enumerate_trees(3, e)}) == sum(
+        len(enumerate_trees(3, e)) for e in range(7))
+
+
+def test_copies_and_pickles_are_the_shape_itself():
+    for t in (LEAF, parse_tree("[[],[[]]]"), linear_tree(6), corolla(40)):
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+    assert copy.deepcopy([corolla(2), {corolla(2): 1}]) == [corolla(2), {corolla(2): 1}]
+
+
+def test_a_shape_is_frozen():
+    with pytest.raises(AttributeError):
+        LEAF.children = (LEAF,)
+    with pytest.raises(AttributeError):
+        corolla(2).height = 0
+    with pytest.raises(AttributeError):
+        del corolla(2).edges
+    assert LEAF.children == () and LEAF.height == LEAF.edges == 0
+    assert LEAF.render() == "[]" and LevelTree() is LEAF
+
+
+def test_forests_render_as_their_trees():
+    for pruned in (False, True):
+        for n in range(1 if pruned else 0, 5):
+            for e in range(11):
+                rendered = [render_forest(f) for f in iter_forests(n, e, pruned)]
+                assert [t.render() for t in iter_trees(n, e, pruned)] == rendered
+
+
+def test_streamed_roots_are_not_interned():
+    # listing or counting roots builds their children only
+    before = len(trees._SHAPES)
+    listed = sum(1 for _ in iter_forests(4, 12))
+    assert len(trees._SHAPES) - before < listed
+    before = len(trees._SHAPES)
+    census = cell_census(em_set(parse_group("z2"), 2), 22)
+    # with z2 one cell per shape: degree 22 alone counts 10,946 roots,
+    # though other tests may have interned some of the lower degrees
+    assert len(trees._SHAPES) - before < census[22] == 10946
 
 
 def test_em_bases_keep_the_oracle_order():
