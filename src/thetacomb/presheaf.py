@@ -272,6 +272,8 @@ def gf2_rank(rows: list[int]) -> int:
 
 def homology_f2(complex_: F2ChainComplex, degree: int) -> int:
     """F2 Betti number: dim ker boundary_d minus rank boundary_{d+1}."""
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative")
     if degree + 1 > complex_.dim_bound:
         raise ValueError(
             f"degree {degree} needs boundary {degree + 1} beyond the "

@@ -4,7 +4,8 @@ An operator at level n >= 2 between level-trees pairs a simplicial
 operator phi between root valences with, for each source branch i, one
 lower-level operator per target branch k in the block
 phi(i-1) < k <= phi(i).  Level 1 is Delta itself: the operator carries
-only phi and the trees are corollas.
+only phi and the trees are corollas.  Operators are built and read row
+by row: row i holds the operators over source branch i's block.
 
 Provides composition, identities, hom enumeration, the retraction /
 monomorphism taxonomy with Reedy factorization, the codimension-1 faces
@@ -28,6 +29,7 @@ from typing import Callable, Iterator
 from .gamma import GammaOperator, assemble
 from .simplex import (
     SimplicialOperator,
+    classify_delta,
     compose_delta,
     hom_delta,
     identity_delta,
@@ -53,6 +55,8 @@ class ThetaOperator:
     components: tuple[tuple["ThetaOperator", ...], ...] = ()
 
     def __post_init__(self):
+        if self.level < 1:
+            raise ThetaShapeError(f"level {self.level} is below 1")
         m = len(self.source.children)
         if self.phi.source != m or self.phi.target != len(self.target.children):
             raise ThetaShapeError("phi endpoints do not match root valences")
@@ -72,14 +76,9 @@ class ThetaOperator:
         """Target branch indices covered by source branch i (1-based)."""
         return range(self.phi(i - 1) + 1, self.phi(i) + 1)
 
-    def component(self, i: int, k: int) -> "ThetaOperator":
-        return self.components[i - 1][k - self.phi(i - 1) - 1]
-
     @property
     def is_identity(self) -> bool:
-        if self.source != self.target or not self.phi.is_identity:
-            return False
-        return all(c.is_identity for row in self.components for c in row)
+        return _every_level(self, lambda g: g.source == g.target and g.phi.is_identity)
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,7 +107,9 @@ def identity_theta(tree: LevelTree, n: int) -> ThetaOperator:
 
 
 def compose_theta(g: ThetaOperator, f: ThetaOperator) -> ThetaOperator:
-    """The composite g after f, componentwise at every level."""
+    """The composite g after f, componentwise at every level: row i of the
+    composite is, for each operator of f's row i in turn, g's row over its
+    target branch composed after it."""
     if f.level != g.level:
         raise ThetaCompositionError("level mismatch")
     if f.target != g.source:
@@ -117,15 +118,12 @@ def compose_theta(g: ThetaOperator, f: ThetaOperator) -> ThetaOperator:
     if f.level == 1:
         return ThetaOperator(1, f.source, g.target, phi)
     rows = []
-    for i in range(1, len(f.source.children) + 1):
+    for f_row, start in zip(f.components, f.phi.values):
         row = []
-        for l in range(phi(i - 1) + 1, phi(i) + 1):
-            for k in f.block(i):
-                if g.phi(k - 1) < l <= g.phi(k):
-                    row.append(compose_theta(g.component(k, l), f.component(i, k)))
-                    break
-            else:  # pragma: no cover - blocks partition the composite block
-                raise ThetaCompositionError("no block index found")
+        # f_c lands on target branch k + 1, whose row in g is g.components[k]
+        for k, f_c in enumerate(f_row, start):
+            for g_c in g.components[k]:
+                row.append(compose_theta(g_c, f_c))
         rows.append(tuple(row))
     return ThetaOperator(f.level, f.source, g.target, phi, tuple(rows))
 
@@ -145,7 +143,7 @@ def hom_theta(
     source: LevelTree, target: LevelTree, n: int
 ) -> tuple[ThetaOperator, ...]:
     """The full finite hom-set, in a deterministic order: lexicographic in
-    phi, then in the recursive component choices."""
+    phi, then in the recursive component choices, row by row."""
     if source.height > n or target.height > n:
         raise ThetaShapeError("tree height exceeds level")
     m, mt = len(source.children), len(target.children)
@@ -154,32 +152,27 @@ def hom_theta(
         if n == 1:
             out.append(ThetaOperator(1, source, target, phi))
             continue
-        slot_choices = []
-        for i in range(1, m + 1):
-            for k in range(phi(i - 1) + 1, phi(i) + 1):
-                slot_choices.append(
-                    hom_theta(source.children[i - 1], target.children[k - 1], n - 1)
-                )
-        for picks in product(*slot_choices):
-            rows = []
-            pos = 0
-            for i in range(1, m + 1):
-                width = phi(i) - phi(i - 1)
-                rows.append(tuple(picks[pos : pos + width]))
-                pos += width
-            out.append(ThetaOperator(n, source, target, phi, tuple(rows)))
+        row_choices = [
+            product(*(hom_theta(child, t, n - 1) for t in target.children[a:b]))
+            for child, a, b in zip(source.children, phi.values, phi.values[1:])
+        ]
+        for rows in product(*row_choices):
+            out.append(ThetaOperator(n, source, target, phi, rows))
     return tuple(out)
 
 
 # --- retractions and monomorphisms ------------------------------------
 
 
+def _every_level(f: ThetaOperator, test: Callable[[ThetaOperator], bool]) -> bool:
+    """True iff test holds for f and, recursively, for every component."""
+    return test(f) and all(_every_level(c, test) for row in f.components for c in row)
+
+
 def is_retraction(f: ThetaOperator) -> bool:
     """True iff phi is a monotone surjection and every block is empty or a
     singleton whose operator is recursively a retraction."""
-    if not f.phi.is_surjective:
-        return False
-    return all(is_retraction(c) for row in f.components for c in row)
+    return _every_level(f, lambda g: g.phi.is_surjective)
 
 
 @lru_cache(maxsize=None)
@@ -361,16 +354,11 @@ def _preserves_endpoints(f: ThetaOperator) -> bool:
     # endpoint preservation is checked blockwise all the way down; a
     # single projection may collapse (e.g. globe onto a whiskered
     # composite) as long as the operator as a whole is monic
-    if f.phi(0) != 0 or f.phi(f.phi.source) != f.phi.target:
-        return False
-    return all(_preserves_endpoints(c) for row in f.components for c in row)
+    return _every_level(f, lambda g: classify_delta(g.phi).inner)
 
 
 def _is_outer_face(f: ThetaOperator) -> bool:
-    values = f.phi.values
-    if any(b - a != 1 for a, b in zip(values, values[1:])):
-        return False
-    return all(_is_outer_face(c) for row in f.components for c in row)
+    return _every_level(f, lambda g: classify_delta(g.phi).outer)
 
 
 def classify_theta(f: ThetaOperator) -> str:
@@ -402,15 +390,15 @@ def gamma_n(f: ThetaOperator) -> GammaOperator:
     """The assembly functor Theta_n -> Gamma: the trace of f on height-n
     vertices, in planar order."""
     n = f.level
-    if n == 1:
-        return segal_gamma(f.phi)
     outer = segal_gamma(f.phi)
+    if n == 1:
+        return outer
     source_sizes = [count_at_height(c, n - 1) for c in f.source.children]
     target_sizes = [count_at_height(c, n - 1) for c in f.target.children]
     components = {
-        (i, k): gamma_n(f.component(i, k))
-        for i in range(1, len(f.source.children) + 1)
-        for k in f.block(i)
+        (i, k): gamma_n(c)
+        for i, row in enumerate(f.components, 1)
+        for k, c in zip(f.block(i), row)
     }
     return assemble(outer, components, source_sizes, target_sizes)
 

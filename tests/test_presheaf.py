@@ -206,6 +206,10 @@ def test_homology_truncation_error():
     c = chain_complex(em_set(Z2, 1), 3)
     with pytest.raises(ValueError):
         homology_f2(c, 3)
+    # a negative degree would read the top of the complex from the end
+    for degree in (-1, -3):
+        with pytest.raises(ValueError):
+            homology_f2(c, degree)
 
 
 def test_gf2_rank():

@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library only."""
 
 import ast
+import sys
 from pathlib import Path
 
 import thetacomb
@@ -36,3 +37,30 @@ def test_no_module_imports_a_name_it_never_uses():
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         if path.name != "__init__.py":
             assert unused_imports(path.read_text()) == [], path.name
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The absolute imports of a module that are neither __future__ nor
+    in the standard library."""
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.extend((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append((node.module, node.lineno))
+    return [
+        f"{name} (line {line})"
+        for name, line in modules
+        if name != "__future__" and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+
+
+def test_foreign_imports_are_found():
+    source = "import os.path, numpy\nfrom . import trees\nfrom scipy import linalg\n"
+    assert foreign_imports(source) == ["numpy (line 1)", "scipy (line 3)"]
+
+
+def test_package_imports_only_the_standard_library():
+    # the package is a stdlib-only calculator at run time (README)
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        assert foreign_imports(path.read_text()) == [], path.name

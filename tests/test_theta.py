@@ -5,7 +5,12 @@ import random
 import pytest
 
 from thetacomb.gamma import GammaOperator, identity_gamma
-from thetacomb.simplex import SimplicialOperator, hom_delta, identity_delta
+from thetacomb.simplex import (
+    SimplicialOperator,
+    compose_delta,
+    hom_delta,
+    identity_delta,
+)
 from thetacomb.theta import (
     ThetaCompositionError,
     ThetaOperator,
@@ -58,6 +63,11 @@ def test_identity_and_validation():
         identity_theta(linear_tree(2), 1)
     with pytest.raises(ThetaShapeError):
         ThetaOperator(1, corolla(2), corolla(1), identity_delta(1))
+    # there is no level 0: gamma_n and suspend would misread one
+    with pytest.raises(ThetaShapeError):
+        identity_theta(LEAF, 0)
+    with pytest.raises(ThetaShapeError):
+        hom_theta(LEAF, LEAF, 0)
 
 
 def test_terminal_tree():
@@ -86,6 +96,60 @@ def test_hom_matches_brute_force_blockwise_count():
                     )
             expected += prod
         assert len(hom_theta(s, t, 2)) == expected
+
+
+def test_hom_order_is_lexicographic_row_by_row():
+    # verify's byte tables, the n = 3 sample and presheaf tests rely on it;
+    # trees up to 4 edges give two rows with two or more choices each
+    def key(f):
+        rows = tuple(
+            tuple(hom_theta(c.source, c.target, c.level).index(c) for c in row)
+            for row in f.components
+        )
+        return f.phi.values, rows
+
+    for n in (1, 2, 3):
+        for s, t in itertools.product(all_trees(n, 4), repeat=2):
+            keys = [key(f) for f in hom_theta(s, t, n)]
+            assert keys == sorted(set(keys)), (n, s, t)
+
+
+def wreath_compose(g, f):
+    """g after f by the wreath definition: component (i, l) is g's
+    operator at (k, l) after f's at (i, k), for the unique k in f's block
+    i whose g-block holds l."""
+    phi = compose_delta(g.phi, f.phi)
+    if f.level == 1:
+        return ThetaOperator(1, f.source, g.target, phi)
+    rows = []
+    for i in range(1, f.phi.source + 1):
+        row = []
+        for l in range(phi(i - 1) + 1, phi(i) + 1):
+            (k,) = [
+                k
+                for k in range(f.phi(i - 1) + 1, f.phi(i) + 1)
+                if g.phi(k - 1) < l <= g.phi(k)
+            ]
+            g_kl = g.components[k - 1][l - g.phi(k - 1) - 1]
+            f_ik = f.components[i - 1][k - f.phi(i - 1) - 1]
+            row.append(wreath_compose(g_kl, f_ik))
+        rows.append(tuple(row))
+    return ThetaOperator(f.level, f.source, g.target, phi, tuple(rows))
+
+
+def test_compose_matches_wreath_definition():
+    trees = all_trees(2, 2)
+    for s, t, u in itertools.product(trees, repeat=3):
+        for f in hom_theta(s, t, 2):
+            for g in hom_theta(t, u, 2):
+                assert compose_theta(g, f) == wreath_compose(g, f)
+    rng = random.Random(0)
+    trees = all_trees(3, 4)
+    for _ in range(200):
+        s, t, u = (rng.choice(trees) for _ in range(3))
+        f = rng.choice(hom_theta(s, t, 3))
+        g = rng.choice(hom_theta(t, u, 3))
+        assert compose_theta(g, f) == wreath_compose(g, f)
 
 
 def test_compose_endpoint_errors():
@@ -366,8 +430,6 @@ def test_diagonal():
 
 
 def test_diagonal_functorial():
-    from thetacomb.simplex import compose_delta
-
     rng = random.Random(3)
     homs = {
         (a, b): hom_delta(a, b) for a, b in itertools.product(range(3), repeat=2)
