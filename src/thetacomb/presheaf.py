@@ -14,7 +14,9 @@ nerve at n=2.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -174,7 +176,8 @@ def _f2_chains(
     yields the non-degenerate codimension-1 faces of a degree-d cell (with
     multiplicity; they are summed mod 2).  Checks that the boundary squares
     to zero and ranks each boundary once."""
-    index = [{cell: i for i, cell in enumerate(layer)} for layer in basis]
+    # no face lies in the top layer, so it needs no index
+    index = [{cell: i for i, cell in enumerate(layer)} for layer in basis[:-1]]
     boundary: list[list[int]] = [[0] * len(basis[0])]  # degree 0 maps to zero
     for d in range(1, len(basis)):
         lower = index[d - 1]
@@ -224,7 +227,7 @@ def em_chains(pi: FiniteAbelianGroup, n: int, dim_bound: int) -> F2ChainComplex:
     level-k word the tuple of its root branches' level-(k-1) words.  A
     level-1 face is a bar face without neutral labels; a level-k face is a
     face inside one letter that leaves it non-empty, or merges two adjacent
-    letters along a shuffle of their entries."""
+    letters along a shuffle of their entries, counted mod 2 by shuffles."""
     neutral = pi.neutral
     shared: dict[tuple, tuple] = {}  # one copy of each sub-word
 
@@ -243,19 +246,31 @@ def em_chains(pi: FiniteAbelianGroup, n: int, dim_bound: int) -> F2ChainComplex:
                 if face:
                     yield w[:j] + (face,) + w[j + 1 :]
         for j in range(len(w) - 1):
-            left, right = w[j], w[j + 1]
-            size = len(left) + len(right)
-            for picks in itertools.combinations(range(size), len(left)):
-                lefts, rights = iter(left), iter(right)
-                merged = tuple(next(lefts) if i in picks else next(rights) for i in range(size))
+            for merged in shuffles(w[j], w[j + 1]):
                 yield w[:j] + (merged,) + w[j + 2 :]
 
     basis = list(map(em_set(pi, n).nondeg_cells, range(dim_bound + 1)))
     words = [[word(n, tree, iter(labels)) for tree, labels in layer] for layer in basis]
     shared.clear()
     complex_ = _f2_chains(words, lambda d, w: faces(n, w))
+    shuffles.cache_clear()
     complex_.basis = basis
     return complex_
+
+
+@functools.cache
+def shuffles(u: tuple, v: tuple) -> tuple[tuple, ...]:
+    """The words of odd multiplicity in the shuffle product of the words u
+    and v, from u sh v = u_1 (u' sh v) + v_1 (u sh v') mod 2 (Ree, Ann. of
+    Math. 68, 1958): a word reached through both terms cancels, which can
+    happen only when u and v start with the same letter."""
+    if not (u and v):
+        return (u + v,)
+    left = [u[:1] + w for w in shuffles(u[1:], v)]
+    right = [v[:1] + w for w in shuffles(u, v[1:])]
+    if u[0] != v[0]:
+        return (*left, *right)
+    return tuple(set(left).symmetric_difference(right))
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -308,42 +323,62 @@ def _double_nerve_chains(
     nerve of pi (the bisimplicial set underlying K(pi,2) pulled back along
     the bi-simplicial diagonal).
 
-    Cells in bidegree (a,b) are a x b matrices over pi, its elements coded
-    as in _addition_table; the doubly non-degenerate ones are those without
-    an all-neutral (all-zero) row or column, and the 0 x 0 one.  Horizontal
-    faces drop or merge rows, vertical faces columns.
+    Cells in bidegree (a,b) are a x b matrices over pi without an
+    all-neutral row or column, and the 0 x 0 one, stored as (a, b, rows) in
+    the order of itertools.product over the rows.  A row is the base-|pi|
+    number of its entries' codes in _addition_table, first entry most
+    significant; its support mask has bit k set iff its k-th digit from the
+    last is nonzero.  Horizontal faces drop or merge rows; the vertical
+    faces of M are the transposes of the horizontal faces of M^T, looked up
+    by their rows in the layer below.
     """
     table = _addition_table(pi)
+    q = len(table)
+    entries = [list(itertools.product(range(q), repeat=w)) for w in range(max(dim_bound, 1))]
+    code = {digits: r for layer in entries for r, digits in enumerate(layer)}
+    support = [sum(1 << k for k, e in enumerate(reversed(row)) if e) for row in entries[-1]]
+    sums: dict[tuple[int, int], int] = {}
 
-    def nondeg(a: int, b: int, matrix: tuple) -> bool:
-        if not (a and b):
-            return a == b == 0
-        return all(map(any, matrix)) and all(map(any, zip(*matrix)))
+    def add(u: int, v: int) -> int:
+        if (u, v) not in sums:
+            sums[u, v] = table[u % q][v % q] + q * add(u // q, v // q) if u or v else 0
+        return sums[u, v]
 
-    def add_rows(u: tuple, v: tuple) -> tuple:
-        return tuple(map(list.__getitem__, map(table.__getitem__, u), v))
+    def transpose(b: int, rows: tuple) -> tuple:
+        return tuple(map(code.__getitem__, zip(*map(entries[b].__getitem__, rows))))
+
+    def row_faces(rows: tuple, full: int) -> Iterator[tuple]:
+        # no zero row (only a merged row can vanish) and every column hit
+        masks = list(map(support.__getitem__, rows))
+        before = [*itertools.accumulate(masks, operator.or_, initial=0)]
+        after = [*itertools.accumulate(reversed(masks), operator.or_, initial=0)][::-1]
+        if after[1] == full:
+            yield rows[1:]
+        for i in range(1, len(rows)):
+            s = add(rows[i - 1], rows[i])
+            if s and before[i - 1] | support[s] | after[i + 1] == full:
+                yield rows[: i - 1] + (s,) + rows[i + 1 :]
+        if before[-2] == full:
+            yield rows[:-1]
+
+    basis = [[(0, 0, ())]] + [
+        [
+            (a, d - a, rows)
+            for a in range(1, d)
+            for rows in itertools.product(range(1, q ** (d - a)), repeat=a)
+            if functools.reduce(operator.or_, map(support.__getitem__, rows)) == (1 << d - a) - 1
+        ]
+        for d in range(1, dim_bound + 1)
+    ]
+    # the cells of each layer below the top, by their transposed rows
+    below = [{transpose(b, rows): (a, b, rows) for a, b, rows in cells} for cells in basis[:-1]]
 
     def faces(d: int, cell: tuple) -> Iterator[tuple]:
-        a, b, matrix = cell
-        for face in _bar_faces(matrix, add_rows):
-            if nondeg(a - 1, b, face):
-                yield a - 1, b, face
-        for face in _bar_faces(tuple(zip(*matrix)), add_rows):
-            face = tuple(zip(*face))
-            if nondeg(a, b - 1, face):
-                yield a, b - 1, face
+        a, b, rows = cell
+        for face in row_faces(rows, (1 << b) - 1):
+            yield a - 1, b, face
+        yield from map(below[d - 1].__getitem__, row_faces(transpose(b, rows), (1 << a) - 1))
 
-    basis = [
-        [
-            (a, d - a, matrix)
-            for a in range(d + 1)
-            for matrix in itertools.product(
-                list(itertools.product(range(len(table)), repeat=d - a)), repeat=a
-            )
-            if nondeg(a, d - a, matrix)
-        ]
-        for d in range(dim_bound + 1)
-    ]
     return _f2_chains(basis, faces)
 
 

@@ -8,6 +8,9 @@ from thetacomb.gamma import parse_group
 from thetacomb.presheaf import (
     BoundarySquareError,
     FiniteThetaSet,
+    _addition_table,
+    _bar_faces,
+    _double_nerve_chains,
     _f2_chains,
     cell_census,
     chain_complex,
@@ -20,6 +23,7 @@ from thetacomb.presheaf import (
     product_census,
     product_set,
     reduce_element,
+    shuffles,
 )
 from thetacomb.theta import ThetaOperator, hom_theta, is_retraction
 from thetacomb.trees import LEAF, corolla, enumerate_trees, is_pruned, parse_tree
@@ -261,6 +265,86 @@ def test_homology_vs_oracle():
         c = chain_complex(em_set(pi, n), bound)
         ours = [homology_f2(c, d) for d in range(bound)]
         assert ours == oracle_multisimplicial(pi, n, bound)
+
+
+def reference_double_nerve_chains(pi, dim_bound):
+    """The double nerve on nested tuples: a cell (a, b, matrix) holds its
+    a x b matrix of entry codes as rows of tuples, and the vertical faces
+    transpose the matrix, take its bar faces and transpose back."""
+    table = _addition_table(pi)
+
+    def nondeg(a, b, matrix):
+        if not (a and b):
+            return a == b == 0
+        return all(map(any, matrix)) and all(map(any, zip(*matrix)))
+
+    def add_rows(u, v):
+        return tuple(map(list.__getitem__, map(table.__getitem__, u), v))
+
+    def faces(d, cell):
+        a, b, matrix = cell
+        for face in _bar_faces(matrix, add_rows):
+            if nondeg(a - 1, b, face):
+                yield a - 1, b, face
+        for face in _bar_faces(tuple(zip(*matrix)), add_rows):
+            face = tuple(zip(*face))
+            if nondeg(a, b - 1, face):
+                yield a, b - 1, face
+
+    basis = [
+        [
+            (a, d - a, matrix)
+            for a in range(d + 1)
+            for matrix in itertools.product(
+                list(itertools.product(range(len(table)), repeat=d - a)), repeat=a
+            )
+            if nondeg(a, d - a, matrix)
+        ]
+        for d in range(dim_bound + 1)
+    ]
+    return _f2_chains(basis, faces)
+
+
+@pytest.mark.parametrize(
+    "spec, bound",
+    [("z1", 4), ("z2", 7), ("z3", 5), ("z4", 5), ("z2xz2", 5), ("z6", 4)],
+)
+def test_double_nerve_matches_nested_tuple_reference(spec, bound):
+    pi = parse_group(spec)
+    for dim_bound in (0, 1, 2, bound):
+        coded = _double_nerve_chains(pi, dim_bound)
+        reference = reference_double_nerve_chains(pi, dim_bound)
+        assert coded.boundary == reference.boundary
+        assert coded.ranks == reference.ranks
+
+
+@pytest.mark.parametrize("spec, bound", [("z2", 7), ("z3", 6), ("z4", 5), ("z2xz2", 5)])
+def test_em_chains_homology_vs_double_nerve(spec, bound):
+    pi = parse_group(spec)
+    c = em_chains(pi, 2, bound)
+    assert [homology_f2(c, d) for d in range(bound)] == oracle_multisimplicial(pi, 2, bound)
+
+
+def test_shuffles_of_equal_letters_follow_lucas():
+    # the one word x^(a+b) arises C(a+b, a) times, which is odd iff
+    # a & b == 0 (Lucas)
+    for a, b in itertools.product(range(9), repeat=2):
+        word = ("x",) * (a + b)
+        assert shuffles(("x",) * a, ("x",) * b) == ((word,) if a & b == 0 else ())
+
+
+def test_shuffles_are_the_interleavings_of_odd_multiplicity():
+    words = [w for k in range(4) for w in itertools.product("xy", repeat=k)]
+    for u, v in itertools.product(words, repeat=2):
+        counts = {}
+        size = len(u) + len(v)
+        for picks in itertools.combinations(range(size), len(u)):
+            lefts, rights = iter(u), iter(v)
+            merged = tuple(next(lefts) if i in picks else next(rights) for i in range(size))
+            counts[merged] = counts.get(merged, 0) + 1
+        odd = [w for w, count in counts.items() if count % 2]
+        assert sorted(shuffles(u, v)) == sorted(odd)
+        assert len(set(shuffles(u, v))) == len(shuffles(u, v))
 
 
 def test_oracle_examples():
