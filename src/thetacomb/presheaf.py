@@ -8,15 +8,14 @@ non-degenerate core, cell censuses, mod-2 cellular chains with homology
 (for K(pi,n) also built by em_chains, the iterated bar construction run
 on each labelled pruned tree read as a bar word n deep, with
 chain_complex's Theta operators as the oracle), and an independent
-oracle for the homology: Kunneth's closed form at n=1 and the double
-nerve at n=2.
+oracle for the homology at every level: Serre's Poincare series of
+K(pi,n) over F2.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -219,6 +218,15 @@ def chain_complex(x_set: FiniteThetaSet, dim_bound: int) -> F2ChainComplex:
     return _f2_chains(basis, faces)
 
 
+def _bar_faces(x: tuple, add: Callable) -> Iterator[tuple]:
+    """The faces of a k-simplex [x_1|...|x_k] of a nerve: drop x_1, merge
+    x_i and x_{i+1} by add, drop x_k."""
+    yield x[1:]
+    for i in range(1, len(x)):
+        yield x[: i - 1] + (add(x[i - 1], x[i]),) + x[i + 1 :]
+    yield x[:-1]
+
+
 def em_chains(pi: FiniteAbelianGroup, n: int, dim_bound: int) -> F2ChainComplex:
     """The F2 chains of K(pi,n) on its cells (tree, labels), with the basis
     and boundary of chain_complex(em_set(pi, n), dim_bound) and no Theta
@@ -298,104 +306,32 @@ def homology_f2(complex_: F2ChainComplex, degree: int) -> int:
     return kernel - complex_.ranks[degree + 1]
 
 
-# --- independent oracle: Kunneth at n=1, the double nerve at n=2 -------
-
-
-def _bar_faces(x: tuple, add: Callable) -> Iterator[tuple]:
-    """The faces of a k-simplex [x_1|...|x_k] of a nerve: drop x_1, merge
-    x_i and x_{i+1} by add, drop x_k."""
-    yield x[1:]
-    for i in range(1, len(x)):
-        yield x[: i - 1] + (add(x[i - 1], x[i]),) + x[i + 1 :]
-    yield x[:-1]
-
-
-def _addition_table(pi: FiniteAbelianGroup) -> list[list[int]]:
-    """pi.add on the codes 0..|pi|-1 of pi.elements(); the neutral is 0."""
-    code = {x: i for i, x in enumerate(pi.elements())}
-    return [[code[pi.add(x, y)] for y in code] for x in code]
-
-
-def _double_nerve_chains(
-    pi: FiniteAbelianGroup, dim_bound: int
-) -> F2ChainComplex:
-    """The total complex of the doubly-normalized F2 chains of the double
-    nerve of pi (the bisimplicial set underlying K(pi,2) pulled back along
-    the bi-simplicial diagonal).
-
-    Cells in bidegree (a,b) are a x b matrices over pi without an
-    all-neutral row or column, and the 0 x 0 one, stored as (a, b, rows) in
-    the order of itertools.product over the rows.  A row is the base-|pi|
-    number of its entries' codes in _addition_table, first entry most
-    significant; its support mask has bit k set iff its k-th digit from the
-    last is nonzero.  Horizontal faces drop or merge rows; the vertical
-    faces of M are the transposes of the horizontal faces of M^T, looked up
-    by their rows in the layer below.
-    """
-    table = _addition_table(pi)
-    q = len(table)
-    entries = [list(itertools.product(range(q), repeat=w)) for w in range(max(dim_bound, 1))]
-    code = {digits: r for layer in entries for r, digits in enumerate(layer)}
-    support = [sum(1 << k for k, e in enumerate(reversed(row)) if e) for row in entries[-1]]
-    sums: dict[tuple[int, int], int] = {}
-
-    def add(u: int, v: int) -> int:
-        if (u, v) not in sums:
-            sums[u, v] = table[u % q][v % q] + q * add(u // q, v // q) if u or v else 0
-        return sums[u, v]
-
-    def transpose(b: int, rows: tuple) -> tuple:
-        return tuple(map(code.__getitem__, zip(*map(entries[b].__getitem__, rows))))
-
-    def row_faces(rows: tuple, full: int) -> Iterator[tuple]:
-        # no zero row (only a merged row can vanish) and every column hit
-        masks = list(map(support.__getitem__, rows))
-        before = [*itertools.accumulate(masks, operator.or_, initial=0)]
-        after = [*itertools.accumulate(reversed(masks), operator.or_, initial=0)][::-1]
-        if after[1] == full:
-            yield rows[1:]
-        for i in range(1, len(rows)):
-            s = add(rows[i - 1], rows[i])
-            if s and before[i - 1] | support[s] | after[i + 1] == full:
-                yield rows[: i - 1] + (s,) + rows[i + 1 :]
-        if before[-2] == full:
-            yield rows[:-1]
-
-    basis = [[(0, 0, ())]] + [
-        [
-            (a, d - a, rows)
-            for a in range(1, d)
-            for rows in itertools.product(range(1, q ** (d - a)), repeat=a)
-            if functools.reduce(operator.or_, map(support.__getitem__, rows)) == (1 << d - a) - 1
-        ]
-        for d in range(1, dim_bound + 1)
-    ]
-    # the cells of each layer below the top, by their transposed rows
-    below = [{transpose(b, rows): (a, b, rows) for a, b, rows in cells} for cells in basis[:-1]]
-
-    def faces(d: int, cell: tuple) -> Iterator[tuple]:
-        a, b, rows = cell
-        for face in row_faces(rows, (1 << b) - 1):
-            yield a - 1, b, face
-        yield from map(below[d - 1].__getitem__, row_faces(transpose(b, rows), (1 << a) - 1))
-
-    return _f2_chains(basis, faces)
+# --- independent oracle: Serre's Poincare series ---------------------
 
 
 def oracle_multisimplicial(
     pi: FiniteAbelianGroup, n: int, dim_bound: int
 ) -> list[int]:
-    """Independent F2 Betti numbers for degrees 0..dim_bound-1.  For n=1
-    Kunneth's closed form: each cyclic factor of even order multiplies the
-    Poincare series by 1/(1-t), and those of odd order are F2-acyclic.  For
-    n=2 the double nerve, via its total complex."""
-    if n == 1:
-        betti = [int(d == 0) for d in range(dim_bound)]
+    """Independent F2 Betti numbers of K(pi,n) for degrees 0..dim_bound-1,
+    from Serre's Poincare series (Comment. Math. Helv. 27, 1953).
+    H*(K(Z/2,n); F2) is polynomial on one generator of degree n+|I| for
+    each admissible I (i_j >= 2 i_{j+1}, all i_j >= 1, I empty allowed) of
+    excess 2 i_1 - |I| below n.  By Kunneth the series of pi is the
+    product over its cyclic factors: one of even order has the series of
+    Z/2, one of odd order is F2-acyclic."""
+    if n < 1:
+        raise ValueError("level n must be >= 1")
+    betti = [int(d == 0) for d in range(dim_bound)]
+    # admissible I as (i_1, |I|), grown at the front; the excess never falls
+    stack = [(0, 0)]
+    while stack:
+        first, size = stack.pop()
+        degree = n + size
+        if degree >= dim_bound or 2 * first - size >= n:
+            continue
+        stack.extend((i, size + i) for i in range(max(2 * first, 1), dim_bound - degree))
         for m in pi.cyclic_orders:
-            if m % 2 == 0:
-                betti = list(itertools.accumulate(betti))
-        return betti
-    if n != 2:
-        raise ValueError(f"oracle unsupported for level {n}")
-    complex_ = _double_nerve_chains(pi, dim_bound)
-    return [homology_f2(complex_, d) for d in range(dim_bound)]
+            if m % 2 == 0:  # multiply by 1 / (1 - t^degree)
+                for k in range(degree, dim_bound):
+                    betti[k] += betti[k - degree]
+    return betti

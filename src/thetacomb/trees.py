@@ -153,13 +153,6 @@ def count_at_height(tree: LevelTree, h: int) -> int:
     return sum(count_at_height(c, h - 1) for c in tree.children)
 
 
-def is_pruned(tree: LevelTree, n: int) -> bool:
-    """True iff every leaf of the tree sits at height exactly n."""
-    if not tree.children:
-        return n == 0
-    return all(is_pruned(c, n - 1) for c in tree.children)
-
-
 def _forests(kids: list, high: int, slack: int, least: int) -> Iterator[tuple]:
     """The forests over kids, (tree, edges) pairs in bracket order, whose
     edges plus one per branch lie in [high - slack, high], in bracket

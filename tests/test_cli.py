@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,9 @@ import pytest
 import thetacomb
 from thetacomb.cli import main
 from thetacomb.counting import fib_numbers
+from thetacomb.presheaf import homology_f2
+
+from test_acceptance import serre_betti_z2
 
 # the directory holding the thetacomb the tests imported, installed or not,
 # for child processes
@@ -73,16 +77,38 @@ def test_em_homology_oracle(capsys):
     assert [line.split(",")[1] for line in lines[1:]] == ["1"] * 6
 
 
-def test_em_homology_oracle_unsupported_level(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("chain complex built before the oracle check")
+def test_em_homology_oracle_at_levels_3_and_4(capsys):
+    for n in (3, 4):
+        code, out, err = run_cli(
+            capsys, "em", "homology", "--n", str(n), "--group", "z2", "--max-dim", "12",
+            "--oracle",
+        )
+        assert code == 0 and err == ""
+        table = [f"{d},{b}" for d, b in enumerate(serre_betti_z2(n, 12))]
+        assert out.splitlines() == ["degree,betti_f2"] + table
 
-    monkeypatch.setattr("thetacomb.cli.em_chains", refuse)
-    code, _, err = run_cli(
-        capsys, "em", "homology", "--n", "3", "--group", "z2", "--max-dim", "4",
+
+def test_em_homology_oracle_reports_a_mismatch(capsys, monkeypatch):
+    def off_by_one_in_degree_2(complex_, degree):
+        return homology_f2(complex_, degree) + (degree == 2)
+
+    monkeypatch.setattr("thetacomb.cli.homology_f2", off_by_one_in_degree_2)
+    code, out, err = run_cli(
+        capsys, "em", "homology", "--n", "2", "--group", "z2", "--max-dim", "6",
         "--oracle",
     )
-    assert code == 3 and "unsupported" in err
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["homology mismatch in degree 2: 2 != oracle 1"]
+
+
+def test_readme_examples_run(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line for line in block.splitlines() if line.startswith("thetacomb ")]
+    assert len(examples) >= 5
+    for line in examples:
+        code, _, err = run_cli(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, err)
 
 
 def test_count_fib(capsys):

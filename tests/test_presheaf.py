@@ -8,9 +8,7 @@ from thetacomb.gamma import parse_group
 from thetacomb.presheaf import (
     BoundarySquareError,
     FiniteThetaSet,
-    _addition_table,
     _bar_faces,
-    _double_nerve_chains,
     _f2_chains,
     cell_census,
     chain_complex,
@@ -26,8 +24,11 @@ from thetacomb.presheaf import (
     shuffles,
 )
 from thetacomb.theta import ThetaOperator, hom_theta, is_retraction
-from thetacomb.trees import LEAF, corolla, enumerate_trees, is_pruned, parse_tree
+from thetacomb.trees import LEAF, corolla, enumerate_trees, parse_tree
 from thetacomb.simplex import SimplicialOperator
+
+from test_acceptance import serre_betti_z2
+from test_trees import is_pruned
 
 Z2 = parse_group("z2")
 Z3 = parse_group("z3")
@@ -267,9 +268,18 @@ def test_homology_vs_oracle():
         assert ours == oracle_multisimplicial(pi, n, bound)
 
 
+def _addition_table(pi):
+    """pi.add on the codes 0..|pi|-1 of pi.elements(); the neutral is 0."""
+    code = {x: i for i, x in enumerate(pi.elements())}
+    return [[code[pi.add(x, y)] for y in code] for x in code]
+
+
 def reference_double_nerve_chains(pi, dim_bound):
-    """The double nerve on nested tuples: a cell (a, b, matrix) holds its
-    a x b matrix of entry codes as rows of tuples, and the vertical faces
+    """The total complex of the doubly-normalized F2 chains of the double
+    nerve of pi, a bisimplicial model of K(pi,2): a cell (a, b, matrix) in
+    bidegree (a, b) holds an a x b matrix of entry codes, as rows of
+    tuples, without an all-neutral row or column (or is the 0 x 0 one).
+    Horizontal faces are the bar faces of the rows; vertical faces
     transpose the matrix, take its bar faces and transpose back."""
     table = _addition_table(pi)
 
@@ -305,24 +315,39 @@ def reference_double_nerve_chains(pi, dim_bound):
     return _f2_chains(basis, faces)
 
 
+def double_nerve_betti(pi, bound):
+    complex_ = reference_double_nerve_chains(pi, bound)
+    return [homology_f2(complex_, d) for d in range(bound)]
+
+
 @pytest.mark.parametrize(
     "spec, bound",
     [("z1", 4), ("z2", 7), ("z3", 5), ("z4", 5), ("z2xz2", 5), ("z6", 4)],
 )
-def test_double_nerve_matches_nested_tuple_reference(spec, bound):
+def test_oracle_matches_double_nerve(spec, bound):
     pi = parse_group(spec)
     for dim_bound in (0, 1, 2, bound):
-        coded = _double_nerve_chains(pi, dim_bound)
-        reference = reference_double_nerve_chains(pi, dim_bound)
-        assert coded.boundary == reference.boundary
-        assert coded.ranks == reference.ranks
+        assert oracle_multisimplicial(pi, 2, dim_bound) == double_nerve_betti(pi, dim_bound)
 
 
 @pytest.mark.parametrize("spec, bound", [("z2", 7), ("z3", 6), ("z4", 5), ("z2xz2", 5)])
 def test_em_chains_homology_vs_double_nerve(spec, bound):
     pi = parse_group(spec)
     c = em_chains(pi, 2, bound)
-    assert [homology_f2(c, d) for d in range(bound)] == oracle_multisimplicial(pi, 2, bound)
+    assert [homology_f2(c, d) for d in range(bound)] == double_nerve_betti(pi, bound)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_oracle_is_serres_series(n):
+    # Z/2^r and Z/2 x Z/3 have the F2 series of Z/2; odd orders are acyclic
+    for spec in ("z2", "z4", "z6"):
+        assert oracle_multisimplicial(parse_group(spec), n, 31) == serre_betti_z2(n, 31)
+    for spec in ("z1", "z3", "z5", "z9", "z3xz5"):
+        assert oracle_multisimplicial(parse_group(spec), n, 31) == [1] + [0] * 30
+    # Kunneth: the series of Z/2 x Z/2 is the Cauchy square of Z/2's
+    z2 = serre_betti_z2(n, 31)
+    square = [sum(z2[i] * z2[d - i] for i in range(d + 1)) for d in range(31)]
+    assert oracle_multisimplicial(Z2Z2, n, 31) == square
 
 
 def test_shuffles_of_equal_letters_follow_lucas():
@@ -351,8 +376,11 @@ def test_oracle_examples():
     assert oracle_multisimplicial(Z2, 1, 7) == [1, 1, 1, 1, 1, 1, 1]
     assert oracle_multisimplicial(Z2, 2, 6)[:3] == [1, 0, 1]
     assert oracle_multisimplicial(Z3, 2, 4)[2] == 0  # no 2-torsion in H_2
+    # K(Z/2,3): generators iota_3, Sq^1, Sq^2, Sq^2 Sq^1, Sq^3 Sq^1
+    assert oracle_multisimplicial(Z2, 3, 9) == [1, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert oracle_multisimplicial(Z2, 3, 0) == []
     with pytest.raises(ValueError):
-        oracle_multisimplicial(Z2, 3, 4)
+        oracle_multisimplicial(Z2, 0, 4)
 
 
 def test_em_property_at_chain_level():

@@ -15,7 +15,6 @@ from thetacomb.trees import (
     enumerate_pruned,
     NGraph,
     enumerate_trees,
-    is_pruned,
     iter_forests,
     iter_trees,
     linear_tree,
@@ -24,6 +23,13 @@ from thetacomb.trees import (
     star,
     vertices_at_height,
 )
+
+
+def is_pruned(tree: LevelTree, n: int) -> bool:
+    """True iff every leaf of the tree sits at height exactly n."""
+    if not tree.children:
+        return n == 0
+    return all(is_pruned(c, n - 1) for c in tree.children)
 
 
 def generated_order_is_total(g: NGraph) -> bool:
