@@ -2,9 +2,11 @@
 
 Objects of Gamma are the finite sets n_bar = {1..n}; a morphism
 m_bar -> n_bar is an ordered m-tuple of pairwise disjoint subsets of
-{1..n}.  Also here: finite abelian groups (products of cyclic groups),
-the assembly of a wreath operator in Gamma-wr-Gamma into a single Gamma
-operator, and the contravariant action defining H(pi).
+{1..n}.  Operators are hash-consed (trees.HashConsed): one object per
+operator, so equality is identity.  Also here: finite abelian groups
+(products of cyclic groups), the assembly of a wreath operator in
+Gamma-wr-Gamma into a single Gamma operator, and the contravariant
+action defining H(pi).
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import reduce
+
+from .trees import HashConsed, intern
 
 
 class GammaShapeError(ValueError):
@@ -23,13 +27,13 @@ class GammaCompositionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GammaOperator:
-    source: int
-    target: int
-    subsets: tuple[tuple[int, ...], ...]
+class GammaOperator(HashConsed):
+    __slots__ = _fields = ("source", "target", "subsets")
 
-    def __post_init__(self):
+    def __new__(cls, source: int, target: int, subsets: tuple[tuple[int, ...], ...]):
+        return intern(cls, source, target, subsets)
+
+    def _build(self):
         if len(self.subsets) != self.source:
             raise GammaShapeError(
                 f"expected {self.source} subsets, got {len(self.subsets)}"

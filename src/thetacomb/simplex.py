@@ -1,7 +1,8 @@
 """The simplex category Delta.
 
 Monotone operators between finite ordinals [m] = {0 < 1 < ... < m},
-stored as full value lists.  Provides composition, epi-mono
+stored as full value lists and hash-consed (trees.HashConsed): one
+object per operator, so equality is identity.  Provides composition, epi-mono
 factorization, the face/degeneracy taxonomy with inner/outer flags, hom
 enumeration, and Segal's functor gamma: Delta -> Gamma.
 """
@@ -13,6 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .gamma import GammaOperator
+from .trees import HashConsed, intern
 
 
 class SimplicialShapeError(ValueError):
@@ -23,13 +25,13 @@ class SimplicialCompositionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SimplicialOperator:
-    source: int
-    target: int
-    values: tuple[int, ...]
+class SimplicialOperator(HashConsed):
+    __slots__ = _fields = ("source", "target", "values")
 
-    def __post_init__(self):
+    def __new__(cls, source: int, target: int, values: tuple[int, ...]):
+        return intern(cls, source, target, values)
+
+    def _build(self):
         if len(self.values) != self.source + 1:
             raise SimplicialShapeError(
                 f"expected {self.source + 1} values, got {len(self.values)}"
@@ -59,9 +61,7 @@ class SimplicialOperator:
 
     @property
     def is_identity(self) -> bool:
-        return self.source == self.target and self.values == tuple(
-            range(self.source + 1)
-        )
+        return self is identity_delta(self.source)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -82,7 +82,7 @@ def compose_delta(
             f"[{g.source}]->[{g.target}]"
         )
     return SimplicialOperator(
-        f.source, g.target, tuple(g(v) for v in f.values)
+        f.source, g.target, tuple(map(g.values.__getitem__, f.values))
     )
 
 

@@ -6,6 +6,8 @@ lower-level operator per target branch k in the block
 phi(i-1) < k <= phi(i).  Level 1 is Delta itself: the operator carries
 only phi and the trees are corollas.  Operators are built and read row
 by row: row i holds the operators over source branch i's block.
+Operators are hash-consed (trees.HashConsed), like their trees and
+phi, so equality is identity.
 
 Provides composition, identities, hom enumeration, the retraction /
 monomorphism taxonomy with Reedy factorization, the codimension-1 faces
@@ -21,7 +23,6 @@ factorization of f: S -> T is f's non-degenerate core in Theta_n[T].
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from typing import Callable, Iterator
@@ -35,7 +36,7 @@ from .simplex import (
     identity_delta,
     segal_gamma,
 )
-from .trees import LEAF, LevelTree, corolla, count_at_height
+from .trees import LEAF, HashConsed, LevelTree, corolla, count_at_height, intern
 
 
 class ThetaShapeError(ValueError):
@@ -46,15 +47,18 @@ class ThetaCompositionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ThetaOperator:
-    level: int
-    source: LevelTree
-    target: LevelTree
-    phi: SimplicialOperator
-    components: tuple[tuple["ThetaOperator", ...], ...] = ()
+class ThetaOperator(HashConsed):
+    __slots__ = _fields = ("level", "source", "target", "phi", "components")
 
-    def __post_init__(self):
+    def __new__(cls, level: int, source: LevelTree, target: LevelTree,
+                phi: SimplicialOperator, components: tuple[tuple, ...] = ()):
+        return intern(cls, level, source, target, phi, components)
+
+    def __init__(self, *args, **kwargs):
+        """A no-op that takes the constructor's arguments, so that a wrapper
+        counting constructions (perfbench's tracer) can pass them on."""
+
+    def _build(self):
         if self.level < 1:
             raise ThetaShapeError(f"level {self.level} is below 1")
         m = len(self.source.children)

@@ -7,7 +7,10 @@ structure, a bracket-string encoding, enumeration of all trees or only
 the pruned ones, and the star construction producing globular n-graphs.
 
 Trees are hash-consed: there is one LevelTree object per shape, kept in
-the table _SHAPES, so tree equality is identity and a tree hashes by id.
+the table _SHAPES, so tree equality is identity and a tree hashes by id
+(Filliatre and Conchon, "Type-safe modular hash-consing", ML Workshop
+2006).  HashConsed and intern do the same for the Delta, Gamma and
+Theta_n operators.
 Enumeration generates the trees already in lexicographic order of their
 bracket strings and streams them: no sort, and its only memo is the
 ordered list of candidate children per height.  iter_forests streams the
@@ -19,7 +22,42 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
+
+
+class HashConsed:
+    """Base of a hash-consed class: _fields names its fields, its __new__
+    returns intern(cls, *fields) and _build checks a new value.  Equality
+    is identity and the hash is id's, both in C; the object is frozen, and
+    copy, deepcopy and pickle return it."""
+
+    __slots__ = _fields = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+@cache
+def intern(cls: type[HashConsed], *fields) -> HashConsed:
+    """The one object of cls with these fields, which its __new__ returns.
+    The cache is the table: a new value is kept only if its _build()
+    accepts it, so each value is checked once; a field that cannot be
+    hashed, such as a list, raises TypeError."""
+    value = object.__new__(cls)
+    for name, field in zip(cls._fields, fields):
+        object.__setattr__(value, name, field)
+    value._build()
+    return value
 
 
 class TreeParseError(ValueError):
@@ -34,13 +72,14 @@ class TreeParseError(ValueError):
 _SHAPES: dict[tuple, "LevelTree"] = {}
 
 
-class LevelTree:
+class LevelTree(HashConsed):
     """Planar rooted tree, hash-consed: LevelTree(children) returns the one
-    object with that tuple of (themselves unique) children, so equality is
-    identity and the hash is id's, both in C.  height and edges are set
-    once per shape, and the object is frozen."""
+    object with that tuple of (themselves unique) children.  _SHAPES is
+    keyed by the children alone, which saves intern's key tuple per shape,
+    and height and edges are set once per shape."""
 
     __slots__ = ("children", "height", "edges", "_bracket")
+    _fields = ("children",)
 
     def __new__(cls, children: tuple["LevelTree", ...] = ()) -> "LevelTree":
         self = _SHAPES.get(children)
@@ -56,15 +95,6 @@ class LevelTree:
             object.__setattr__(self, "edges", edges)
             _SHAPES[children] = self
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"LevelTree is frozen; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"LevelTree is frozen; cannot delete {name!r}")
-
-    def __reduce__(self):
-        return (LevelTree, (self.children,))
 
     def render(self) -> str:
         """The bracket encoding, joined from the children's on first use and

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import traceback
 from fractions import Fraction
 from functools import lru_cache
 
@@ -267,7 +268,16 @@ SUITES = {
 
 
 def run_suites(names: list[str], seed: int = 0) -> list[Check]:
+    """The named suites' checks.  A suite that raises, short of memory or
+    recursion depth, is one failed check named after it; the rest still run."""
     checks: list[Check] = []
     for name in names:
-        checks.extend(SUITES[name](seed))
+        try:
+            checks.extend(SUITES[name](seed))
+        except (MemoryError, RecursionError):
+            raise
+        except Exception as exc:
+            where = traceback.extract_tb(exc.__traceback__)[-1].name
+            error = f"{type(exc).__name__}: {exc}, raised in {where}"
+            checks.append((name, False, error))
     return checks

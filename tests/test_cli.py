@@ -10,7 +10,8 @@ import pytest
 import thetacomb
 from thetacomb.cli import main
 from thetacomb.counting import fib_numbers
-from thetacomb.presheaf import homology_f2
+from thetacomb.presheaf import BoundarySquareError, homology_f2
+from thetacomb.verify import SUITES
 
 from test_acceptance import serre_betti_z2
 
@@ -297,3 +298,30 @@ def test_memory_cap_bad_value_is_usage_error(value):
     assert result.returncode == 2 and result.stdout == b""
     assert len(result.stderr.splitlines()) == 1
     assert b"THETA_MAX_MEM_MB" in result.stderr
+
+
+def test_verify_reports_a_suite_that_raises(capsys, monkeypatch):
+    def broken(seed):
+        raise BoundarySquareError("boundary squared nonzero on ([], ())")
+
+    monkeypatch.setitem(SUITES, "wreath-laws", broken)
+    code, out, err = run_cli(capsys, "verify", "--suite", "all")
+    lines = out.splitlines()
+    assert code == 1 and err == ""
+    assert lines[0] == (
+        "FAIL  wreath-laws  (BoundarySquareError: boundary squared nonzero on"
+        " ([], ()), raised in broken)"
+    )
+    # the later suites still ran, and passed
+    checks = len(lines) - 1
+    assert checks > 10 and all(line.startswith("PASS") for line in lines[1:-1])
+    assert lines[-1] == f"{checks - 1}/{checks} checks passed"
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_verify_resource_errors_still_exit_3(capsys, monkeypatch, error):
+    def exhausted(seed):
+        raise error()
+
+    monkeypatch.setitem(SUITES, "counts", exhausted)
+    assert run_cli(capsys, "verify", "--suite", "counts")[0] == 3

@@ -1,8 +1,11 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 
+from thetacomb.trees import intern
 from thetacomb.gamma import (
     FiniteAbelianGroup,
     GammaCompositionError,
@@ -22,12 +25,34 @@ Z2Z2 = parse_group("z2xz2")
 
 
 def test_validation():
-    with pytest.raises(GammaShapeError):
-        GammaOperator(2, 2, ((1,), (1,)))  # not disjoint
-    with pytest.raises(GammaShapeError):
-        GammaOperator(1, 2, ((3,),))  # out of range
-    with pytest.raises(GammaShapeError):
-        GammaOperator(1, 3, ((2, 1),))  # unsorted
+    # a rejected value leaves no entry in the table, so it is rejected again
+    cases = [
+        ((2, 2, ((1,), (1,))), "element 1 appears twice"),
+        ((1, 2, ((3,),)), "element 3 outside 1..2"),
+        ((1, 3, ((2, 1),)), "subset (2, 1) not sorted"),
+        ((2, 3, ((1,),)), "expected 2 subsets, got 1"),
+    ]
+    before = intern.cache_info().currsize
+    for args, message in cases:
+        for _ in range(2):
+            with pytest.raises(GammaShapeError) as error:
+                GammaOperator(*args)
+            assert str(error.value) == message and intern.cache_info().currsize == before
+
+
+def test_operators_are_hash_consed():
+    f = GammaOperator(2, 3, ((1,), (2, 3)))
+    assert GammaOperator(2, 3, tuple([(1,), tuple([2, 3])])) is f
+    assert compose_gamma(f, identity_gamma(2)) is f
+    assert type(f).__eq__ is object.__eq__ and type(f).__hash__ is object.__hash__
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied is f
+    with pytest.raises(AttributeError):
+        f.subsets = ()
+    with pytest.raises(AttributeError):
+        del f.target
+    assert not hasattr(f, "__dict__") and f.subsets == ((1,), (2, 3))
+    assert repr(f) == "GammaOperator(source=2, target=3, subsets=((1,), (2, 3)))"
 
 
 def test_compose_example():

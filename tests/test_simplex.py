@@ -1,8 +1,11 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 
+from thetacomb.trees import intern
 from thetacomb.gamma import compose_gamma
 from thetacomb.simplex import (
     SimplicialCompositionError,
@@ -18,12 +21,33 @@ from thetacomb.simplex import (
 
 
 def test_validation():
-    with pytest.raises(SimplicialShapeError):
-        SimplicialOperator(1, 1, (1, 0))
-    with pytest.raises(SimplicialShapeError):
-        SimplicialOperator(1, 1, (0, 2))
-    with pytest.raises(SimplicialShapeError):
-        SimplicialOperator(2, 1, (0, 1))
+    # a rejected value leaves no entry in the table, so it is rejected again
+    cases = [
+        ((1, 1, (1, 0)), "values (1, 0) not weakly increasing in 0..1"),
+        ((1, 1, (0, 2)), "values (0, 2) not weakly increasing in 0..1"),
+        ((2, 1, (0, 1)), "expected 3 values, got 2"),
+    ]
+    before = intern.cache_info().currsize
+    for args, message in cases:
+        for _ in range(2):
+            with pytest.raises(SimplicialShapeError) as error:
+                SimplicialOperator(*args)
+            assert str(error.value) == message and intern.cache_info().currsize == before
+
+
+def test_operators_are_hash_consed():
+    f = SimplicialOperator(2, 3, (0, 1, 3))
+    assert SimplicialOperator(2, 3, tuple([0, 1, 3])) is f
+    assert compose_delta(identity_delta(3), f) is f
+    assert type(f).__eq__ is object.__eq__ and type(f).__hash__ is object.__hash__
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied is f
+    with pytest.raises(AttributeError):
+        f.values = (0, 1, 2)
+    with pytest.raises(AttributeError):
+        del f.source
+    assert not hasattr(f, "__dict__") and f.values == (0, 1, 3)
+    assert repr(f) == "SimplicialOperator(source=2, target=3, values=(0, 1, 3))"
 
 
 def test_compose():

@@ -1,9 +1,12 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
 
+from thetacomb.trees import intern
 from thetacomb.gamma import GammaOperator, identity_gamma
 from thetacomb.simplex import (
     SimplicialOperator,
@@ -40,6 +43,7 @@ from thetacomb.trees import (
     linear_tree,
     parse_tree,
 )
+from thetacomb.verify import composition_table, sample_trees
 
 
 def homogeneous_tree(ks: list[int]) -> LevelTree:
@@ -68,6 +72,86 @@ def test_identity_and_validation():
         identity_theta(LEAF, 0)
     with pytest.raises(ThetaShapeError):
         hom_theta(LEAF, LEAF, 0)
+
+
+def test_shape_errors_leave_no_entry():
+    # a rejected value leaves no entry in the table, so it is rejected again
+    one, two = identity_delta(1), identity_delta(2)
+    leaf = identity_theta(LEAF, 1)
+    cases = [
+        ((0, LEAF, LEAF, identity_delta(0)), "level 0 is below 1"),
+        ((2, corolla(2), corolla(2), one),
+         "phi endpoints do not match root valences"),
+        ((1, corolla(1), corolla(1), one, ((leaf,),)),
+         "level-1 operators carry no components"),
+        ((1, linear_tree(2), linear_tree(2), one),
+         "level-1 trees must have height <= 1"),
+        ((2, corolla(2), corolla(2), two, ((leaf,),)),
+         "one component row per source branch required"),
+        ((2, corolla(2), corolla(2), two, ((leaf, leaf), (leaf,))),
+         "component row 1 does not match block"),
+    ]
+    before = intern.cache_info().currsize
+    for args, message in cases:
+        for _ in range(2):
+            with pytest.raises(ThetaShapeError) as error:
+                ThetaOperator(*args)
+            assert str(error.value) == message and intern.cache_info().currsize == before
+
+
+def test_operators_are_hash_consed():
+    t = parse_tree("[[],[[]]]")
+    f = identity_theta(t, 2)
+    assert identity_theta(parse_tree("[[],[[]]]"), 2) is f
+    assert ThetaOperator(1, LEAF, LEAF, identity_delta(0), ()) is identity_theta(LEAF, 1)
+    assert compose_theta(f, f) is f
+    assert type(f).__eq__ is object.__eq__ and type(f).__hash__ is object.__hash__
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied is f
+    with pytest.raises(AttributeError):
+        f.level = 3
+    with pytest.raises(AttributeError):
+        del f.components
+    assert not hasattr(f, "__dict__") and f.level == 2
+    assert repr(identity_theta(LEAF, 1)) == (
+        "ThetaOperator(level=1, source=LevelTree('[]'), target=LevelTree('[]'), "
+        "phi=SimplicialOperator(source=0, target=0, values=(0,)), components=())"
+    )
+
+
+def test_init_can_be_wrapped_to_count_constructions(monkeypatch):
+    # a wrapper of __init__ sees every construction, new or interned
+    calls = []
+    init = ThetaOperator.__init__
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return init(*args, **kwargs)
+
+    monkeypatch.setattr(ThetaOperator, "__init__", counted)
+    for _ in range(2):
+        identity_theta(corolla(2), 2)
+    assert len(calls) == 6
+
+
+def test_a_list_field_is_rejected_when_built():
+    # each field is hashed into the table key as the operator is built
+    t = corolla(1)
+    with pytest.raises(TypeError):
+        SimplicialOperator(1, 1, [0, 1])
+    with pytest.raises(TypeError):
+        GammaOperator(1, 1, [(1,)])
+    with pytest.raises(TypeError):
+        ThetaOperator(2, t, t, identity_delta(1), [(identity_theta(LEAF, 1),)])
+
+
+def test_composition_table_entries_are_the_listed_operators():
+    trees = sample_trees(2, 3)
+    for s, t, u in itertools.product(trees, repeat=3):
+        hom_su, hom_tu = hom_theta(s, u, 2), hom_theta(t, u, 2)
+        for f, row in zip(hom_theta(s, t, 2), composition_table(s, t, u)):
+            for g, k in zip(hom_tu, row):
+                assert compose_theta(g, f) is hom_su[k]
 
 
 def test_terminal_tree():
