@@ -13,7 +13,6 @@ from .counting import (
 from .gamma import (
     FiniteAbelianGroup,
     GammaOperator,
-    assemble,
     compose_gamma,
     h_pi_act,
     hom_gamma,

@@ -3,9 +3,9 @@
 Subcommands: trees (enumeration), em (cell census / homology of K(pi,n)),
 count (Fibonacci counts / Euler characteristic), verify (invariant
 suites); em homology --oracle checks the Betti numbers against Serre's
-Poincare series of K(pi,n) at every level.  Exit codes: 0 success, 1
-verification mismatch, 2 usage error, 3 memory cap exceeded or input too
-deep.
+Poincare series of K(pi,n) at every level.  Exit codes: 0 success (also
+when the reader closes stdout early), 1 verification mismatch, 2 usage
+error, 3 memory cap exceeded or input too deep.
 """
 
 from __future__ import annotations
@@ -197,7 +197,13 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the flush at exit goes to devnull, not the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except MemoryError:
         print("memory cap exceeded (THETA_MAX_MEM_MB)", file=sys.stderr)
         return EXIT_UNSUPPORTED

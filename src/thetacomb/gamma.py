@@ -4,9 +4,7 @@ Objects of Gamma are the finite sets n_bar = {1..n}; a morphism
 m_bar -> n_bar is an ordered m-tuple of pairwise disjoint subsets of
 {1..n}.  Operators are hash-consed (trees.HashConsed): one object per
 operator, so equality is identity.  Also here: finite abelian groups
-(products of cyclic groups), the assembly of a wreath operator in
-Gamma-wr-Gamma into a single Gamma operator, and the contravariant
-action defining H(pi).
+(products of cyclic groups) and the contravariant action defining H(pi).
 """
 
 from __future__ import annotations
@@ -34,17 +32,18 @@ class GammaOperator(HashConsed):
         return intern(cls, source, target, subsets)
 
     def _build(self):
-        if len(self.subsets) != self.source:
-            raise GammaShapeError(
-                f"expected {self.source} subsets, got {len(self.subsets)}"
-            )
+        m, n = self.source, self.target
+        if min(m, n) < 0:
+            raise GammaShapeError(f"endpoints {m} -> {n} must be >= 0")
+        if len(self.subsets) != m:
+            raise GammaShapeError(f"expected {m} subsets, got {len(self.subsets)}")
         seen: set[int] = set()
         for sub in self.subsets:
             if list(sub) != sorted(sub):
                 raise GammaShapeError(f"subset {sub} not sorted")
             for v in sub:
-                if not 1 <= v <= self.target:
-                    raise GammaShapeError(f"element {v} outside 1..{self.target}")
+                if not 1 <= v <= n:
+                    raise GammaShapeError(f"element {v} outside 1..{n}")
                 if v in seen:
                     raise GammaShapeError(f"element {v} appears twice")
                 seen.add(v)
@@ -89,44 +88,6 @@ def hom_gamma(m: int, n: int) -> list[GammaOperator]:
         )
         out.append(GammaOperator(m, n, subsets))
     return out
-
-
-def assemble(
-    outer: GammaOperator,
-    components: dict[tuple[int, int], GammaOperator],
-    source_sizes: list[int],
-    target_sizes: list[int],
-) -> GammaOperator:
-    """Assembly of a wreath operator in Gamma-wr-Gamma.
-
-    outer: k -> l; source block i has size source_sizes[i-1], target block
-    j has size target_sizes[j-1]; components[(i, j)] : n_i -> m_j is given
-    for each j in outer's i-th subset.  The result maps the concatenated
-    source blocks to the concatenated target blocks by offset unions.
-    """
-    if len(source_sizes) != outer.source or len(target_sizes) != outer.target:
-        raise GammaShapeError("block size lists do not match outer endpoints")
-    tgt_offsets = [0]
-    for m_j in target_sizes:
-        tgt_offsets.append(tgt_offsets[-1] + m_j)
-    subsets: list[tuple[int, ...]] = []
-    for i in range(1, outer.source + 1):
-        n_i = source_sizes[i - 1]
-        for j in outer(i):
-            u = components[(i, j)]
-            if u.source != n_i or u.target != target_sizes[j - 1]:
-                raise GammaShapeError(
-                    f"component ({i},{j}) has shape {u.source}->{u.target}, "
-                    f"expected {n_i}->{target_sizes[j - 1]}"
-                )
-        for v in range(1, n_i + 1):
-            image = sorted(
-                tgt_offsets[j - 1] + w
-                for j in outer(i)
-                for w in components[(i, j)](v)
-            )
-            subsets.append(tuple(image))
-    return GammaOperator(sum(source_sizes), sum(target_sizes), tuple(subsets))
 
 
 # --- finite abelian groups --------------------------------------------

@@ -32,15 +32,16 @@ class SimplicialOperator(HashConsed):
         return intern(cls, source, target, values)
 
     def _build(self):
-        if len(self.values) != self.source + 1:
-            raise SimplicialShapeError(
-                f"expected {self.source + 1} values, got {len(self.values)}"
-            )
+        m, n = self.source, self.target
+        if min(m, n) < 0:
+            raise SimplicialShapeError(f"endpoints [{m}] -> [{n}] must be >= 0")
+        if len(self.values) != m + 1:
+            raise SimplicialShapeError(f"expected {m + 1} values, got {len(self.values)}")
         prev = 0
         for v in self.values:
-            if not prev <= v <= self.target:
+            if not prev <= v <= n:
                 raise SimplicialShapeError(
-                    f"values {self.values} not weakly increasing in 0..{self.target}"
+                    f"values {self.values} not weakly increasing in 0..{n}"
                 )
             prev = v
 

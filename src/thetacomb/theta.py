@@ -7,7 +7,10 @@ phi(i-1) < k <= phi(i).  Level 1 is Delta itself: the operator carries
 only phi and the trees are corollas.  Operators are built and read row
 by row: row i holds the operators over source branch i's block.
 Operators are hash-consed (trees.HashConsed), like their trees and
-phi, so equality is identity.
+phi, so equality is identity; each is checked once, when built, down to
+its components: the one in row i over target branch k has level n - 1
+and runs from source branch i to target branch k, and no tree is taller
+than n.
 
 Provides composition, identities, hom enumeration, the retraction /
 monomorphism taxonomy with Reedy factorization, the codimension-1 faces
@@ -27,7 +30,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations, product
 from typing import Callable, Iterator
 
-from .gamma import GammaOperator, assemble
+from .gamma import GammaOperator
 from .simplex import (
     SimplicialOperator,
     classify_delta,
@@ -59,26 +62,34 @@ class ThetaOperator(HashConsed):
         counting constructions (perfbench's tracer) can pass them on."""
 
     def _build(self):
-        if self.level < 1:
-            raise ThetaShapeError(f"level {self.level} is below 1")
+        n = self.level
+        if n < 1:
+            raise ThetaShapeError(f"level {n} is below 1")
         m = len(self.source.children)
         if self.phi.source != m or self.phi.target != len(self.target.children):
             raise ThetaShapeError("phi endpoints do not match root valences")
-        if self.level == 1:
+        if n == 1:
             if self.components:
                 raise ThetaShapeError("level-1 operators carry no components")
-            if self.source.height > 1 or self.target.height > 1:
-                raise ThetaShapeError("level-1 trees must have height <= 1")
-        else:
-            if len(self.components) != m:
-                raise ThetaShapeError("one component row per source branch required")
-            for i in range(1, m + 1):
-                if len(self.components[i - 1]) != self.phi(i) - self.phi(i - 1):
-                    raise ThetaShapeError(f"component row {i} does not match block")
-
-    def block(self, i: int) -> range:
-        """Target branch indices covered by source branch i (1-based)."""
-        return range(self.phi(i - 1) + 1, self.phi(i) + 1)
+        elif len(self.components) != m:
+            raise ThetaShapeError("one component row per source branch required")
+        values, targets = self.phi.values, self.target.children
+        for i, (row, branch) in enumerate(zip(self.components, self.source.children), 1):
+            if len(row) != values[i] - values[i - 1]:
+                raise ThetaShapeError(f"component row {i} does not match block")
+            for k, c in enumerate(row, values[i - 1] + 1):
+                if c.level != n - 1:
+                    fault = f"has level {c.level}"
+                elif c.source is not branch:
+                    fault = f"does not start at source branch {i}"
+                elif c.target is not targets[k - 1]:
+                    fault = f"does not end at target branch {k}"
+                else:
+                    continue
+                raise ThetaShapeError(f"component of row {i} at target branch {k} {fault}")
+        # the components bound every branch's height but those outside all blocks
+        if max(self.source.height, self.target.height) > n:
+            raise ThetaShapeError(f"level-{n} trees must have height <= {n}")
 
     @property
     def is_identity(self) -> bool:
@@ -100,8 +111,6 @@ class ThetaOperator(HashConsed):
 
 
 def identity_theta(tree: LevelTree, n: int) -> ThetaOperator:
-    if tree.height > n:
-        raise ThetaShapeError(f"tree height {tree.height} exceeds level {n}")
     m = len(tree.children)
     phi = identity_delta(m)
     if n == 1:
@@ -147,9 +156,8 @@ def hom_theta(
     source: LevelTree, target: LevelTree, n: int
 ) -> tuple[ThetaOperator, ...]:
     """The full finite hom-set, in a deterministic order: lexicographic in
-    phi, then in the recursive component choices, row by row."""
-    if source.height > n or target.height > n:
-        raise ThetaShapeError("tree height exceeds level")
+    phi, then in the recursive component choices, row by row.  A tree
+    taller than n raises ThetaShapeError at the first operator built."""
     m, mt = len(source.children), len(target.children)
     out = []
     for phi in hom_delta(m, mt):
@@ -392,19 +400,20 @@ def dim_theta(tree: LevelTree) -> int:
 @lru_cache(maxsize=None)
 def gamma_n(f: ThetaOperator) -> GammaOperator:
     """The assembly functor Theta_n -> Gamma: the trace of f on height-n
-    vertices, in planar order."""
+    vertices, in planar order: a vertex of source branch i goes to its images
+    under row i's operators, each shifted past the earlier target branches."""
     n = f.level
-    outer = segal_gamma(f.phi)
     if n == 1:
-        return outer
-    source_sizes = [count_at_height(c, n - 1) for c in f.source.children]
-    target_sizes = [count_at_height(c, n - 1) for c in f.target.children]
-    components = {
-        (i, k): gamma_n(c)
-        for i, row in enumerate(f.components, 1)
-        for k, c in zip(f.block(i), row)
-    }
-    return assemble(outer, components, source_sizes, target_sizes)
+        return segal_gamma(f.phi)
+    offsets = (0, *accumulate(count_at_height(c, n - 1) for c in f.target.children))
+    subsets = []
+    for row, start, branch in zip(f.components, f.phi.values, f.source.children):
+        images = [(offsets[k], gamma_n(c).subsets) for k, c in enumerate(row, start)]
+        subsets.extend(
+            tuple(offset + w for offset, sub in images for w in sub[v])
+            for v in range(count_at_height(branch, n - 1))
+        )
+    return GammaOperator(len(subsets), offsets[-1], tuple(subsets))
 
 
 def suspend(f: ThetaOperator) -> ThetaOperator:
@@ -423,10 +432,8 @@ def embed(f: ThetaOperator) -> ThetaOperator:
     """The full embedding Theta_n -> Theta_{n+1}: same trees and phi, with
     components reinterpreted one level up."""
     if f.level == 1:
-        rows = tuple(
-            tuple(identity_theta(LEAF, 1) for _ in f.block(i))
-            for i in range(1, f.phi.source + 1)
-        )
+        leaf = identity_theta(LEAF, 1)
+        rows = tuple((leaf,) * (b - a) for a, b in zip(f.phi.values, f.phi.values[1:]))
         return ThetaOperator(2, f.source, f.target, f.phi, rows)
     rows = tuple(tuple(embed(c) for c in row) for row in f.components)
     return ThetaOperator(f.level + 1, f.source, f.target, f.phi, rows)
@@ -444,8 +451,5 @@ def diagonal(fs: list[SimplicialOperator]) -> ThetaOperator:
     rest = diagonal(fs[1:])
     src = LevelTree((rest.source,) * head.source)
     tgt = LevelTree((rest.target,) * head.target)
-    rows = tuple(
-        tuple(rest for _ in range(head(i) - head(i - 1)))
-        for i in range(1, head.source + 1)
-    )
+    rows = tuple((rest,) * (b - a) for a, b in zip(head.values, head.values[1:]))
     return ThetaOperator(len(fs), src, tgt, head, rows)

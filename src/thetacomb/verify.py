@@ -114,39 +114,40 @@ def suite_wreath_laws(seed: int = 0) -> list[Check]:
     return checks
 
 
+@lru_cache(maxsize=None)
+def _retraction_positions(s: LevelTree, u: LevelTree) -> tuple[int, ...]:
+    """The positions of the retractions in hom_theta(s, u, 2)."""
+    return tuple(i for i, r in enumerate(hom_theta(s, u, 2)) if is_retraction(r))
+
+
+@lru_cache(maxsize=None)
+def _is_mono(m: ThetaOperator) -> bool:
+    """The independent mono test: m's Reedy degeneracy is an identity."""
+    return reedy_factor(m)[0].is_identity
+
+
 def brute_force_reedy(
-    f: ThetaOperator,
-    trees: list[LevelTree],
-    mono_cache: dict,
+    f: ThetaOperator, trees: list[LevelTree]
 ) -> list[tuple[ThetaOperator, ThetaOperator]]:
     """All factorizations f = m . r, r a retraction and m monic, read off the
-    composition table; reedy_factor is the independent mono test."""
+    composition table."""
     found = []
     fi = _positions(f.source, f.target)[f]
     for u in trees:
-        if u.edges > f.source.edges:
-            continue
-        retractions = [
-            (r, i) for i, r in enumerate(hom_theta(f.source, u, 2)) if is_retraction(r)
-        ]
-        if not retractions:
+        if u.edges > f.source.edges or not _retraction_positions(f.source, u):
             continue
         table = composition_table(f.source, u, f.target)
-        for r, i in retractions:
-            for m, mr in zip(hom_theta(u, f.target, 2), table[i]):
-                if mr != fi:
-                    continue
-                if m not in mono_cache:
-                    mono_cache[m] = reedy_factor(m)[0].is_identity
-                if mono_cache[m]:
-                    found.append((r, m))
+        hom_su, hom_ut = hom_theta(f.source, u, 2), hom_theta(u, f.target, 2)
+        for i in _retraction_positions(f.source, u):
+            for m, mr in zip(hom_ut, table[i]):
+                if mr == fi and _is_mono(m):
+                    found.append((hom_su[i], m))
     return found
 
 
 def suite_factorization() -> list[Check]:
     checks: list[Check] = []
     trees = sample_trees(2, 3)
-    mono_cache: dict = {}
     bad = []
     count = 0
     for s, t in itertools.product(trees, repeat=2):
@@ -159,7 +160,7 @@ def suite_factorization() -> list[Check]:
             if not is_retraction(degeneracy):
                 bad.append((f, "degeneracy part is not a retraction"))
                 continue
-            pairs = brute_force_reedy(f, trees, mono_cache)
+            pairs = brute_force_reedy(f, trees)
             if len(pairs) != 1:
                 bad.append((f, f"brute force found {len(pairs)} factorizations"))
             elif pairs[0] != (degeneracy, face):

@@ -216,6 +216,23 @@ def test_deterministic_output():
     assert first.stdout == second.stdout
 
 
+def test_closed_stdout_exits_0_quietly():
+    # the listing (970 KB) is far larger than a pipe buffer, so the writer
+    # meets the closed pipe
+    child = subprocess.Popen(
+        [sys.executable, "-m", "thetacomb.cli", "trees", "--n", "3", "--edges", "12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
+    )
+    first = child.stdout.readline()
+    child.stdout.close()
+    error = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 0 and error == b""
+    assert first == b"[[[[],[],[],[],[],[],[],[],[],[]]]]\n"
+
+
 def _capped_env(megabytes):
     """A minimal child environment that still imports thetacomb and, when
     the tests were asked not to, writes no bytecode."""

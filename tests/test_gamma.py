@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from thetacomb.trees import intern
+from thetacomb.theta import gamma_n, hom_theta
+from thetacomb.trees import enumerate_trees, intern, vertices_at_height
 from thetacomb.gamma import (
     FiniteAbelianGroup,
     GammaCompositionError,
     GammaOperator,
     GammaShapeError,
-    assemble,
     compose_gamma,
     h_pi_act,
     hom_gamma,
@@ -31,6 +31,8 @@ def test_validation():
         ((1, 2, ((3,),)), "element 3 outside 1..2"),
         ((1, 3, ((2, 1),)), "subset (2, 1) not sorted"),
         ((2, 3, ((1,),)), "expected 2 subsets, got 1"),
+        ((0, -3, ()), "endpoints 0 -> -3 must be >= 0"),
+        ((-1, 2, ()), "endpoints -1 -> 2 must be >= 0"),
     ]
     before = intern.cache_info().currsize
     for args, message in cases:
@@ -112,52 +114,40 @@ def test_identity_laws_endpoints_3():
             assert compose_gamma(identity_gamma(n), f) == f
 
 
-def test_assemble_examples():
-    u = GammaOperator(1, 2, ((1, 2),))
-    assert assemble(identity_gamma(1), {(1, 1): u}, [1], [2]) == u
-    outer = GammaOperator(1, 2, ((1, 2),))
-    one = identity_gamma(1)
-    assert assemble(outer, {(1, 1): one, (1, 2): one}, [1], [1, 1]) == GammaOperator(
-        1, 2, ((1, 2),)
+def _vertex_images(f, path):
+    """The definition of gamma_n on one height-n vertex: the path (i, *rest)
+    goes to (k, *p) for k in f's block i and p in the image of rest under
+    the operator of row i at k."""
+    i, rest = path[0], path[1:]
+    block = range(f.phi(i - 1) + 1, f.phi(i) + 1)
+    if f.level == 1:
+        return [(k,) for k in block]
+    return [
+        (k, *p) for k, c in zip(block, f.components[i - 1]) for p in _vertex_images(c, rest)
+    ]
+
+
+def reference_gamma_n(f):
+    """gamma_n read off vertex paths, indexed by position in
+    vertices_at_height."""
+    source = vertices_at_height(f.source, f.level)
+    target = vertices_at_height(f.target, f.level)
+    position = {p: j for j, p in enumerate(target, 1)}
+    subsets = tuple(
+        tuple(sorted(position[p] for p in _vertex_images(f, v))) for v in source
     )
-    swap = GammaOperator(2, 2, ((2,), (1,)))
-    assert assemble(swap, {(1, 2): one, (2, 1): one}, [1, 1], [1, 1]) == swap
+    return GammaOperator(len(source), len(target), subsets)
 
 
-def test_assemble_shape_errors():
-    with pytest.raises(GammaShapeError):
-        assemble(identity_gamma(1), {(1, 1): identity_gamma(2)}, [1], [1])
-    with pytest.raises(GammaShapeError):
-        assemble(identity_gamma(2), {}, [1], [1, 1])
-
-
-def test_assemble_functorial_spot_check():
-    # assembling composites = composing assemblies, outer shape 2 -> 2 -> 2
-    rng = random.Random(11)
-    sizes = [2, 1]
-    for _ in range(50):
-        o1 = rng.choice(hom_gamma(2, 2))
-        o2 = rng.choice(hom_gamma(2, 2))
-        c1 = {
-            (i, j): rng.choice(hom_gamma(sizes[i - 1], sizes[j - 1]))
-            for i in (1, 2)
-            for j in o1(i)
-        }
-        c2 = {
-            (i, j): rng.choice(hom_gamma(sizes[i - 1], sizes[j - 1]))
-            for i in (1, 2)
-            for j in o2(i)
-        }
-        a1 = assemble(o1, c1, sizes, sizes)
-        a2 = assemble(o2, c2, sizes, sizes)
-        outer = compose_gamma(o2, o1)
-        comps = {
-            (i, k): compose_gamma(c2[(j, k)], c1[(i, j)])
-            for i in (1, 2)
-            for j in o1(i)
-            for k in o2(j)
-        }
-        assert assemble(outer, comps, sizes, sizes) == compose_gamma(a2, a1)
+# 4 edges is the least at n = 2 where one row holds two operators that
+# both land on height-n vertices, so that the second one's are shifted
+@pytest.mark.parametrize("n, max_edges, operators", [(2, 4, 5895), (3, 4, 9325)])
+def test_gamma_n_matches_its_definition(n, max_edges, operators):
+    trees = [t for e in range(max_edges + 1) for t in enumerate_trees(n, e)]
+    homs = [hom_theta(s, t, n) for s, t in itertools.product(trees, repeat=2)]
+    assert sum(map(len, homs)) == operators
+    for f in itertools.chain.from_iterable(homs):
+        assert gamma_n(f) is reference_gamma_n(f)
 
 
 def test_groups():

@@ -26,6 +26,8 @@ def test_validation():
         ((1, 1, (1, 0)), "values (1, 0) not weakly increasing in 0..1"),
         ((1, 1, (0, 2)), "values (0, 2) not weakly increasing in 0..1"),
         ((2, 1, (0, 1)), "expected 3 values, got 2"),
+        ((-1, 3, ()), "endpoints [-1] -> [3] must be >= 0"),
+        ((1, -1, (0, 0)), "endpoints [1] -> [-1] must be >= 0"),
     ]
     before = intern.cache_info().currsize
     for args, message in cases:
@@ -33,6 +35,10 @@ def test_validation():
             with pytest.raises(SimplicialShapeError) as error:
                 SimplicialOperator(*args)
             assert str(error.value) == message and intern.cache_info().currsize == before
+    for build in (lambda: hom_delta(-1, 2), lambda: identity_delta(-1)):
+        with pytest.raises(SimplicialShapeError):
+            build()
+        assert intern.cache_info().currsize == before
 
 
 def test_operators_are_hash_consed():

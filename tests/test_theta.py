@@ -90,6 +90,17 @@ def test_shape_errors_leave_no_entry():
          "one component row per source branch required"),
         ((2, corolla(2), corolla(2), two, ((leaf, leaf), (leaf,))),
          "component row 1 does not match block"),
+        ((2, corolla(2), corolla(2), two, ((leaf,), (identity_theta(LEAF, 2),))),
+         "component of row 2 at target branch 2 has level 2"),
+        # id_[0] over the branch [[]], which needs id_[1]: accepted, it would
+        # read as an identity
+        ((2, linear_tree(2), linear_tree(2), one, ((leaf,),)),
+         "component of row 1 at target branch 1 does not start at source branch 1"),
+        ((2, corolla(2), LevelTree((LEAF, corolla(1))), two, ((leaf,), (leaf,))),
+         "component of row 2 at target branch 2 does not end at target branch 2"),
+        # a branch outside every block has no component to bound its height
+        ((2, LevelTree((linear_tree(2),)), LEAF, SimplicialOperator(1, 0, (0, 0)), ((),)),
+         "level-2 trees must have height <= 2"),
     ]
     before = intern.cache_info().currsize
     for args, message in cases:
