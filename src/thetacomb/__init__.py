@@ -1,72 +1,44 @@
 """Exact combinatorics of iterated wreath products of the simplex
 category, Segal's Gamma, Eilenberg-MacLane cell models and their F2
-homology."""
+homology.
 
-from .counting import (
-    RationalGF,
-    euler_char,
-    fib_numbers,
-    gf_coefficients,
-    gf_em,
-    gf_fib,
-)
-from .gamma import (
-    FiniteAbelianGroup,
-    GammaOperator,
-    compose_gamma,
-    h_pi_act,
-    hom_gamma,
-    identity_gamma,
-    parse_group,
-)
-from .presheaf import (
-    F2ChainComplex,
-    FiniteThetaSet,
-    cell_census,
-    chain_complex,
-    em_set,
-    homology_f2,
-    is_nondegenerate,
-    oracle_multisimplicial,
-    product_census,
-    product_set,
-    reduce_element,
-)
-from .simplex import (
-    DeltaClass,
-    SimplicialOperator,
-    classify_delta,
-    compose_delta,
-    factor_epi_mono,
-    hom_delta,
-    identity_delta,
-    segal_gamma,
-)
-from .theta import (
-    ThetaOperator,
-    classify_theta,
-    compose_theta,
-    diagonal,
-    dim_theta,
-    embed,
-    gamma_n,
-    hom_theta,
-    identity_theta,
-    is_face,
-    is_retraction,
-    reedy_factor,
-    suspend,
-)
-from .trees import (
-    LevelTree,
-    NGraph,
-    corolla,
-    enumerate_pruned,
-    enumerate_trees,
-    linear_tree,
-    parse_tree,
-    star,
-    vertices_at_height,
-)
+The public names are re-exported lazily (PEP 562): the first use of a
+name imports the module that defines it, so importing the package loads
+no module.  The submodules themselves are exported too."""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from importlib import import_module
+
+_EXPORTS = {
+    "counting": ("RationalGF", "euler_char", "fib_numbers", "gf_coefficients",
+                 "gf_em", "gf_fib"),
+    "gamma": ("FiniteAbelianGroup", "GammaOperator", "compose_gamma", "h_pi_act",
+              "hom_gamma", "identity_gamma", "parse_group"),
+    "presheaf": ("F2ChainComplex", "FiniteThetaSet", "cell_census", "chain_complex",
+                 "em_set", "homology_f2", "is_nondegenerate", "oracle_multisimplicial",
+                 "product_census", "product_set", "reduce_element"),
+    "simplex": ("DeltaClass", "SimplicialOperator", "classify_delta", "compose_delta",
+                "factor_epi_mono", "hom_delta", "identity_delta", "segal_gamma"),
+    "theta": ("ThetaOperator", "classify_theta", "compose_theta", "diagonal",
+              "dim_theta", "embed", "gamma_n", "hom_theta", "identity_theta",
+              "is_face", "is_retraction", "reedy_factor", "suspend"),
+    "trees": ("LevelTree", "NGraph", "corolla", "enumerate_pruned", "enumerate_trees",
+              "linear_tree", "parse_tree", "star", "vertices_at_height"),
+}
+# public name -> the module defining it; a submodule is its own home
+_HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{home}")
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

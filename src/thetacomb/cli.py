@@ -6,6 +6,9 @@ suites); em homology --oracle checks the Betti numbers against Serre's
 Poincare series of K(pi,n) at every level.  Exit codes: 0 success (also
 when the reader closes stdout early), 1 verification mismatch, 2 usage
 error, 3 memory cap exceeded or input too deep.
+
+Each command imports the modules it runs when it runs, so a query loads
+and compiles only those.
 """
 
 from __future__ import annotations
@@ -14,13 +17,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .counting import euler_char, fib_numbers
-from .gamma import parse_group
-from .presheaf import cell_census, em_chains, em_set, homology_f2, oracle_multisimplicial
-from .trees import iter_forests, render_forest
-from .verify import SUITES, run_suites
+# the names of verify.SUITES, in its order, for --suite without loading verify
+SUITE_NAMES = ("wreath-laws", "factorization", "gamma-functor", "chain", "counts")
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -38,12 +37,16 @@ def _emit_table(header: tuple[str, str], rows: list[tuple], fmt: str) -> None:
 
 
 def cmd_trees(args) -> int:
+    from .trees import iter_forests, render_forest
+
     for forest in iter_forests(args.n, args.edges, args.pruned):
         print(render_forest(forest))
     return EXIT_OK
 
 
 def cmd_em(args) -> int:
+    from .presheaf import cell_census, em_chains, em_set, homology_f2, oracle_multisimplicial
+
     if args.em_command == "cells":
         census = cell_census(em_set(args.group, args.n), args.max_dim)
         rows = [(d, census[d]) for d in range(args.max_dim + 1)]
@@ -67,6 +70,10 @@ def cmd_em(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from fractions import Fraction
+
+    from .counting import euler_char, fib_numbers
+
     if args.count_command == "fib":
         values = fib_numbers(args.n, args.order, args.terms - 1)
         _emit_table(("k", "f"), list(enumerate(values)), args.format)
@@ -81,6 +88,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES, run_suites
+
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = run_suites(names, args.seed)
     failed = 0
@@ -106,6 +115,13 @@ def _int_at_least(low: int):
         return value
 
     return parse
+
+
+def parse_group(spec: str):
+    """The --group type, gamma.parse_group; argparse names it in its error."""
+    from . import gamma
+
+    return gamma.parse_group(spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
     p_verify.add_argument(
-        "--suite", required=True, choices=sorted(SUITES) + ["all"]
+        "--suite", required=True, choices=sorted(SUITE_NAMES) + ["all"]
     )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)

@@ -9,8 +9,9 @@ characteristic p^{(-1)^n}.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .trees import HashConsed, intern
 
 Poly = tuple[int, ...]  # coefficients, constant term first
 
@@ -47,15 +48,16 @@ class ExpansionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(HashConsed):
     """Quotient of integer-coefficient polynomials, kept as given (no GCD
     reduction); exact arithmetic and power-series expansion."""
 
-    numerator: Poly
-    denominator: Poly
+    __slots__ = _fields = ("numerator", "denominator")
 
-    def __post_init__(self):
+    def __new__(cls, numerator: Poly, denominator: Poly):
+        return intern(cls, numerator, denominator)
+
+    def _build(self):
         if all(c == 0 for c in self.denominator):
             raise ZeroDivisionError("zero denominator polynomial")
 

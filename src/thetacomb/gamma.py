@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import reduce
 
 from .trees import HashConsed, intern
@@ -93,13 +92,15 @@ def hom_gamma(m: int, n: int) -> list[GammaOperator]:
 # --- finite abelian groups --------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(HashConsed):
     """Product of cyclic groups Z/m_1 x ... x Z/m_r, written additively."""
 
-    cyclic_orders: tuple[int, ...]
+    __slots__ = _fields = ("cyclic_orders",)
 
-    def __post_init__(self):
+    def __new__(cls, cyclic_orders: tuple[int, ...]):
+        return intern(cls, cyclic_orders)
+
+    def _build(self):
         if any(m < 1 for m in self.cyclic_orders):
             raise ValueError("cyclic orders must be >= 1")
 

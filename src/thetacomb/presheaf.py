@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .gamma import FiniteAbelianGroup, h_pi_act
@@ -34,7 +33,6 @@ from .trees import (
 )
 
 
-@dataclass
 class FiniteThetaSet:
     """Lazy presheaf on Theta_n: eval lists the elements over a tree and
     act(f, x) pulls x back along the operator f.
@@ -46,11 +44,18 @@ class FiniteThetaSet:
     non-degenerate cell.  Without them, the census and the chains test
     every element over every tree of height <= n."""
 
-    level: int
-    eval: Callable[[LevelTree], list]
-    act: Callable[[ThetaOperator, object], object]
-    nondeg_count: Optional[Callable[[int], int]] = None
-    nondeg_cells: Optional[Callable[[int], list]] = None
+    __slots__ = ("level", "eval", "act", "nondeg_count", "nondeg_cells")
+
+    def __init__(
+        self,
+        level: int,
+        eval: Callable[[LevelTree], list],
+        act: Callable[[ThetaOperator, object], object],
+        nondeg_count: Optional[Callable[[int], int]] = None,
+        nondeg_cells: Optional[Callable[[int], list]] = None,
+    ):
+        self.level, self.eval, self.act = level, eval, act
+        self.nondeg_count, self.nondeg_cells = nondeg_count, nondeg_cells
 
 
 def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:
@@ -156,16 +161,17 @@ class BoundarySquareError(AssertionError):
     """Raised when the boundary of a boundary fails to vanish."""
 
 
-@dataclass
 class F2ChainComplex:
     """Basis cells per degree and boundary matrices over F2; the matrix in
     degree d has one bitmask row per degree-d cell, bits indexed by the
     degree-(d-1) basis, and ranks[d] is its rank."""
 
-    dim_bound: int
-    basis: list[list]
-    boundary: list[list[int]]
-    ranks: list[int]
+    __slots__ = ("dim_bound", "basis", "boundary", "ranks")
+
+    def __init__(self, dim_bound: int, basis: list[list],
+                 boundary: list[list[int]], ranks: list[int]):
+        self.dim_bound, self.basis = dim_bound, basis
+        self.boundary, self.ranks = boundary, ranks
 
 
 def _f2_chains(

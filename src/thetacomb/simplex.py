@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 
 from .gamma import GammaOperator
 from .trees import HashConsed, intern
@@ -100,11 +99,14 @@ def factor_epi_mono(
     return epi, mono
 
 
-@dataclass(frozen=True)
-class DeltaClass:
-    kind: str  # "iso" | "face" | "degeneracy" | "mixed"
-    inner: bool
-    outer: bool
+class DeltaClass(HashConsed):
+    """What classify_delta reads off: kind is "iso", "face", "degeneracy"
+    or "mixed", with the inner and outer flags."""
+
+    __slots__ = _fields = ("kind", "inner", "outer")
+
+    def __new__(cls, kind: str, inner: bool, outer: bool):
+        return intern(cls, kind, inner, outer)
 
 
 def classify_delta(f: SimplicialOperator) -> DeltaClass:

@@ -10,7 +10,8 @@ Trees are hash-consed: there is one LevelTree object per shape, kept in
 the table _SHAPES, so tree equality is identity and a tree hashes by id
 (Filliatre and Conchon, "Type-safe modular hash-consing", ML Workshop
 2006).  HashConsed and intern do the same for the Delta, Gamma and
-Theta_n operators.
+Theta_n operators and for the small value classes (FiniteAbelianGroup,
+DeltaClass, RationalGF).
 Enumeration generates the trees already in lexicographic order of their
 bracket strings and streams them: no sort, and its only memo is the
 ordered list of candidate children per height.  iter_forests streams the
@@ -21,7 +22,6 @@ children.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
@@ -38,6 +38,9 @@ class HashConsed:
         raise AttributeError(f"{type(self).__name__} is frozen; cannot change {name!r}")
 
     __delattr__ = __setattr__
+
+    def _build(self):
+        """Check a new value; the default accepts every value."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
@@ -266,14 +269,15 @@ def enumerate_pruned(n: int, e: int) -> list[LevelTree]:
 CellId = tuple[int, ...]
 
 
-@dataclass
 class NGraph:
     """Graded sets of cells with source/target maps satisfying the globular
     identities.  Cell ids are root-paths ending in a sector index."""
 
-    cells: tuple[tuple[CellId, ...], ...]
-    source: dict[CellId, CellId]
-    target: dict[CellId, CellId]
+    __slots__ = ("cells", "source", "target")
+
+    def __init__(self, cells: tuple[tuple[CellId, ...], ...],
+                 source: dict[CellId, CellId], target: dict[CellId, CellId]):
+        self.cells, self.source, self.target = cells, source, target
 
     @property
     def dimension(self) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import traceback
 from fractions import Fraction
 from functools import lru_cache
 
@@ -278,7 +277,9 @@ def run_suites(names: list[str], seed: int = 0) -> list[Check]:
         except (MemoryError, RecursionError):
             raise
         except Exception as exc:
-            where = traceback.extract_tb(exc.__traceback__)[-1].name
-            error = f"{type(exc).__name__}: {exc}, raised in {where}"
+            tb = exc.__traceback__
+            while tb.tb_next is not None:  # to the frame that raised
+                tb = tb.tb_next
+            error = f"{type(exc).__name__}: {exc}, raised in {tb.tb_frame.f_code.co_name}"
             checks.append((name, False, error))
     return checks

@@ -93,7 +93,8 @@ def test_em_homology_oracle_reports_a_mismatch(capsys, monkeypatch):
     def off_by_one_in_degree_2(complex_, degree):
         return homology_f2(complex_, degree) + (degree == 2)
 
-    monkeypatch.setattr("thetacomb.cli.homology_f2", off_by_one_in_degree_2)
+    # cmd_em imports homology_f2 from presheaf when it runs, so patch it there
+    monkeypatch.setattr("thetacomb.presheaf.homology_f2", off_by_one_in_degree_2)
     code, out, err = run_cli(
         capsys, "em", "homology", "--n", "2", "--group", "z2", "--max-dim", "6",
         "--oracle",

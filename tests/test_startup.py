@@ -1,0 +1,145 @@
+"""What a cold start loads: the package's lazy exports, the modules each
+CLI command imports, and the plain classes that stand where dataclasses
+stood (dataclasses imports inspect, ast and dis)."""
+
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import thetacomb
+from thetacomb import cli, verify
+from thetacomb.counting import RationalGF
+from thetacomb.gamma import FiniteAbelianGroup, parse_group
+from thetacomb.presheaf import F2ChainComplex, FiniteThetaSet
+from thetacomb.simplex import DeltaClass
+from thetacomb.trees import NGraph, intern
+
+PACKAGE_PATH = str(Path(thetacomb.__file__).resolve().parent.parent)
+
+# run a CLI command in a fresh interpreter and print the modules it loaded
+LOADED = """
+import json, os, sys
+from thetacomb.cli import main
+argv = json.loads(sys.argv[1])
+sys.stdout = open(os.devnull, "w")
+code = main(argv) if argv else 0
+print(json.dumps([code, sorted(sys.modules)]), file=sys.__stdout__)
+"""
+
+
+def loaded_modules(argv: list[str]) -> set[str]:
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED, json.dumps(argv)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
+    )
+    assert result.returncode == 0, result.stderr
+    code, modules = json.loads(result.stdout)
+    assert code == 0
+    return set(modules)
+
+
+def package_modules(modules: set[str]) -> set[str]:
+    return {m.split(".", 1)[1] for m in modules if m.startswith("thetacomb.")}
+
+
+COMMANDS = {
+    "count": ["count", "euler", "--n", "1", "--order", "2"],
+    "trees": ["trees", "--n", "3", "--edges", "5", "--pruned"],
+    "em cells": ["em", "cells", "--n", "2", "--group", "z2", "--max-dim", "5"],
+    "em homology": ["em", "homology", "--n", "2", "--group", "z2", "--max-dim", "5"],
+}
+
+
+def test_each_command_loads_only_what_it_runs():
+    loaded = {name: loaded_modules(argv) for name, argv in COMMANDS.items()}
+    for name, modules in loaded.items():
+        assert "dataclasses" not in modules, name
+        assert "verify" not in package_modules(modules), name
+    assert not package_modules(loaded["count"]) & {"theta", "presheaf", "simplex"}
+    assert package_modules(loaded["trees"]) == {"cli", "trees"}
+    # the parser alone loads no module of the package but cli
+    assert package_modules(loaded_modules([])) == {"cli"}
+
+
+def test_every_export_resolves_to_the_object_in_its_home_module():
+    assert len(thetacomb.__all__) == len(set(thetacomb.__all__)) > 50
+    for name in thetacomb.__all__:
+        value = getattr(thetacomb, name)
+        if name in ("counting", "gamma", "presheaf", "simplex", "theta", "trees"):
+            assert value is sys.modules[f"thetacomb.{name}"]
+        else:
+            assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_dir_and_star_import_cover_the_exports():
+    assert set(thetacomb.__all__) <= set(dir(thetacomb))
+    namespace: dict = {}
+    exec("from thetacomb import *", namespace)
+    assert set(thetacomb.__all__) <= set(namespace)
+    assert namespace["parse_group"] is parse_group
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'thetacomb' has no attribute 'no_such_name'"):
+        thetacomb.no_such_name
+    with pytest.raises(ImportError):
+        exec("from thetacomb import no_such_name", {})
+
+
+VALUES = [
+    (FiniteAbelianGroup, ((2, 4),), "FiniteAbelianGroup(cyclic_orders=(2, 4))"),
+    (DeltaClass, ("face", True, False), "DeltaClass(kind='face', inner=True, outer=False)"),
+    (RationalGF, ((1,), (1, -1)), "RationalGF(numerator=(1,), denominator=(1, -1))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES)
+def test_value_classes_are_hash_consed(cls, fields, text):
+    x = cls(*fields)
+    equal = [tuple(list(f)) if isinstance(f, tuple) else f for f in fields]
+    assert cls(*equal) is x
+    assert cls(**dict(zip(cls._fields, equal))) is x
+    for copied in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert copied is x
+    with pytest.raises(AttributeError):
+        setattr(x, cls._fields[0], fields[0])
+    with pytest.raises(AttributeError):
+        delattr(x, cls._fields[0])
+    assert not hasattr(x, "__dict__") and repr(x) == text
+
+
+def test_rejected_values_raise_as_before_and_are_not_kept():
+    cases = [
+        (lambda: parse_group("z0"), ValueError, "cyclic orders must be >= 1"),
+        (lambda: FiniteAbelianGroup((2, 0)), ValueError, "cyclic orders must be >= 1"),
+        (lambda: RationalGF((1,), (0, 0)), ZeroDivisionError, "zero denominator polynomial"),
+    ]
+    before = intern.cache_info().currsize
+    for build, error, message in cases:
+        for _ in range(2):
+            with pytest.raises(error) as raised:
+                build()
+            assert str(raised.value) == message and intern.cache_info().currsize == before
+
+
+def test_records_keep_their_constructors_and_stay_mutable():
+    chains = F2ChainComplex(dim_bound=0, basis=[["pt"]], boundary=[[0]], ranks=[0])
+    theta_set = FiniteThetaSet(1, eval=lambda tree: [()], act=lambda f, x: x)
+    graph = NGraph(cells=(((0,),),), source={}, target={})
+    assert theta_set.nondeg_count is None and theta_set.nondeg_cells is None
+    assert chains.basis == [["pt"]] and graph.dimension == 0
+    for record in (chains, theta_set, graph):
+        assert not hasattr(record, "__dict__")
+    chains.ranks = [1]
+    assert chains.ranks == [1]
+
+
+def test_suite_names_are_those_of_verify():
+    assert cli.SUITE_NAMES == tuple(verify.SUITES)
