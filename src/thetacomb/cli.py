@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trees.add_argument("--edges", type=_int_at_least(0), required=True)
     p_trees.add_argument("--pruned", action="store_true",
                          help="only trees with all leaves at height n")
-    p_trees.set_defaults(func=cmd_trees)
+    p_trees.set_defaults(func=cmd_trees, parser=p_trees)
 
     p_em = sub.add_parser("em", help="Eilenberg-MacLane cell model")
     em_sub = p_em.add_subparsers(dest="em_command", required=True)
@@ -204,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "trees" and args.pruned and args.n < 1:
-            parser.error("trees --pruned needs --n >= 1")
+            args.parser.error("--pruned needs --n >= 1")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

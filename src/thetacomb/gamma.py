@@ -3,15 +3,17 @@
 Objects of Gamma are the finite sets n_bar = {1..n}; a morphism
 m_bar -> n_bar is an ordered m-tuple of pairwise disjoint subsets of
 {1..n}.  Operators are hash-consed (trees.HashConsed): one object per
-operator, so equality is identity.  Also here: finite abelian groups
-(products of cyclic groups) and the contravariant action defining H(pi).
+operator, so equality is identity; composition is memoised on them,
+since gamma_n's functoriality check composes a few hundred pairs tens
+of thousands of times.  Also here: finite abelian groups (products of
+cyclic groups) and the contravariant action defining H(pi).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from functools import reduce
 
 from .trees import HashConsed, intern
 
@@ -62,6 +64,7 @@ def identity_gamma(n: int) -> GammaOperator:
     return GammaOperator(n, n, tuple((i,) for i in range(1, n + 1)))
 
 
+@functools.cache
 def compose_gamma(g: GammaOperator, f: GammaOperator) -> GammaOperator:
     """Composite of f: k -> m followed by g: m -> n; the i-th subset is the
     union of g's subsets over f's i-th subset."""
@@ -106,7 +109,7 @@ class FiniteAbelianGroup(HashConsed):
 
     @property
     def order(self) -> int:
-        return reduce(lambda a, b: a * b, self.cyclic_orders, 1)
+        return functools.reduce(lambda a, b: a * b, self.cyclic_orders, 1)
 
     @property
     def neutral(self) -> tuple[int, ...]:
@@ -146,6 +149,6 @@ def h_pi_act(
     neutral = pi.neutral
     return tuple(
         x[sub[0] - 1] if len(sub) == 1
-        else reduce(pi.add, (x[j - 1] for j in sub), neutral)
+        else functools.reduce(pi.add, (x[j - 1] for j in sub), neutral)
         for sub in u.subsets
     )

@@ -2,13 +2,16 @@
 
 Monotone operators between finite ordinals [m] = {0 < 1 < ... < m},
 stored as full value lists and hash-consed (trees.HashConsed): one
-object per operator, so equality is identity.  Provides composition, epi-mono
-factorization, the face/degeneracy taxonomy with inner/outer flags, hom
-enumeration, and Segal's functor gamma: Delta -> Gamma.
+object per operator, so equality is identity.  Provides composition,
+memoised because Theta_n composes the same few pairs of phi's over and
+over; epi-mono factorization, the face/degeneracy taxonomy with
+inner/outer flags, hom enumeration, and Segal's functor gamma: Delta ->
+Gamma.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
@@ -73,6 +76,7 @@ def identity_delta(m: int) -> SimplicialOperator:
     return SimplicialOperator(m, m, tuple(range(m + 1)))
 
 
+@functools.cache
 def compose_delta(
     g: SimplicialOperator, f: SimplicialOperator
 ) -> SimplicialOperator:

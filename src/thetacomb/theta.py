@@ -12,11 +12,12 @@ its components: the one in row i over target branch k has level n - 1
 and runs from source branch i to target branch k, and no tree is taller
 than n.
 
-Provides composition, identities, hom enumeration, the retraction /
-monomorphism taxonomy with Reedy factorization, the codimension-1 faces
-into a tree generated from the wreath structure (which the cellular
-boundary uses), the assembly functor gamma_n to Gamma, suspension, level
-embedding and the multi-simplicial diagonal.
+Provides composition (the components through a memo of Theta_{n-1}'s
+composition, the top level unmemoised), identities, hom enumeration,
+the retraction / monomorphism taxonomy with Reedy factorization, the
+codimension-1 faces into a tree generated from the wreath structure
+(which the cellular boundary uses), the assembly functor gamma_n to
+Gamma, suspension, level embedding and the multi-simplicial diagonal.
 
 One mechanism, peel, splits an element of a Theta_n-set into a
 degeneracy of its non-degenerate core (Eilenberg-Zilber).  The Reedy
@@ -25,8 +26,8 @@ factorization of f: S -> T is f's non-degenerate core in Theta_n[T].
 
 from __future__ import annotations
 
+import functools
 import json
-from functools import lru_cache
 from itertools import accumulate, combinations, product
 from typing import Callable, Iterator
 
@@ -122,7 +123,7 @@ def identity_theta(tree: LevelTree, n: int) -> ThetaOperator:
 def compose_theta(g: ThetaOperator, f: ThetaOperator) -> ThetaOperator:
     """The composite g after f, componentwise at every level: row i of the
     composite is, for each operator of f's row i in turn, g's row over its
-    target branch composed after it."""
+    target branch composed after it, through the memoised _compose_component."""
     if f.level != g.level:
         raise ThetaCompositionError("level mismatch")
     if f.target != g.source:
@@ -136,9 +137,16 @@ def compose_theta(g: ThetaOperator, f: ThetaOperator) -> ThetaOperator:
         # f_c lands on target branch k + 1, whose row in g is g.components[k]
         for k, f_c in enumerate(f_row, start):
             for g_c in g.components[k]:
-                row.append(compose_theta(g_c, f_c))
+                row.append(_compose_component(g_c, f_c))
         rows.append(tuple(row))
     return ThetaOperator(f.level, f.source, g.target, phi, tuple(rows))
+
+
+# Theta_{n-1}'s composition as the rows of a level-n composite use it.  The
+# components range over far fewer pairs than the operators, so it is
+# memoised; compose_theta itself is not, since a memo of every top-level
+# composite grew verify's peak memory by about 30 %.
+_compose_component = functools.cache(compose_theta)
 
 
 def bang(tree: LevelTree, n: int) -> ThetaOperator:
@@ -151,7 +159,7 @@ def bang(tree: LevelTree, n: int) -> ThetaOperator:
     return ThetaOperator(n, tree, LEAF, phi, ((),) * m)
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def hom_theta(
     source: LevelTree, target: LevelTree, n: int
 ) -> tuple[ThetaOperator, ...]:
@@ -187,7 +195,7 @@ def is_retraction(f: ThetaOperator) -> bool:
     return _every_level(f, lambda g: g.phi.is_surjective)
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def codim1_retractions(
     tree: LevelTree, n: int
 ) -> tuple[tuple[ThetaOperator, ThetaOperator], ...]:
@@ -295,7 +303,7 @@ def _shuffle_pairs(
     return out
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def codim1_faces(target: LevelTree, n: int) -> tuple[ThetaOperator, ...]:
     """Every monomorphism into the tree whose source has one edge fewer,
     each exactly once, read off the wreath structure Theta_n = Delta wr
@@ -397,7 +405,7 @@ def dim_theta(tree: LevelTree) -> int:
 # --- functors ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def gamma_n(f: ThetaOperator) -> GammaOperator:
     """The assembly functor Theta_n -> Gamma: the trace of f on height-n
     vertices, in planar order: a vertex of source branch i goes to its images

@@ -21,8 +21,8 @@ children.
 
 from __future__ import annotations
 
+import functools
 import json
-from functools import cache
 from typing import Iterator
 
 
@@ -50,7 +50,7 @@ class HashConsed:
         return f"{type(self).__name__}({fields})"
 
 
-@cache
+@functools.cache
 def intern(cls: type[HashConsed], *fields) -> HashConsed:
     """The one object of cls with these fields, which its __new__ returns.
     The cache is the table: a new value is kept only if its _build()

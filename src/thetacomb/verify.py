@@ -8,10 +8,10 @@ per process, filled lazily by composition_table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 from .counting import euler_char, fib_numbers, gf_coefficients, gf_em
 from .gamma import FiniteAbelianGroup, compose_gamma, parse_group
@@ -45,12 +45,12 @@ def sample_trees(n: int, max_edges: int) -> list[LevelTree]:
     return out
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _positions(s: LevelTree, t: LevelTree) -> dict[ThetaOperator, int]:
     return {op: i for i, op in enumerate(hom_theta(s, t, 2))}
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def composition_table(s: LevelTree, t: LevelTree, u: LevelTree) -> tuple[bytes, ...]:
     """Row i, byte j: the index in hom_theta(s, u, 2) of g_j . f_i, for f_i in
     hom_theta(s, t, 2) and g_j in hom_theta(t, u, 2) (the sample's hom-sets
@@ -113,13 +113,13 @@ def suite_wreath_laws(seed: int = 0) -> list[Check]:
     return checks
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _retraction_positions(s: LevelTree, u: LevelTree) -> tuple[int, ...]:
     """The positions of the retractions in hom_theta(s, u, 2)."""
     return tuple(i for i, r in enumerate(hom_theta(s, u, 2)) if is_retraction(r))
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _is_mono(m: ThetaOperator) -> bool:
     """The independent mono test: m's Reedy degeneracy is an identity."""
     return reedy_factor(m)[0].is_identity

@@ -155,6 +155,12 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2 and out == ""
     assert "error:" in err and "Traceback" not in err
+    # the usage line and the error name the subcommand, not the top-level parser
+    words = argv.split()
+    command = " ".join(words[: next(i for i, w in enumerate(words) if w.startswith("-"))])
+    lines = err.splitlines()
+    assert lines[0].startswith(f"usage: thetacomb {command} [-h]")
+    assert lines[-1].startswith(f"thetacomb {command}: error:")
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ import pytest
 
 from thetacomb.theta import gamma_n, hom_theta
 from thetacomb.trees import enumerate_trees, intern, vertices_at_height
+from thetacomb.verify import sample_trees
 from thetacomb.gamma import (
     FiniteAbelianGroup,
     GammaCompositionError,
@@ -65,6 +66,31 @@ def test_compose_example():
     assert compose_gamma(g, identity_gamma(2)) == g
     with pytest.raises(GammaCompositionError):
         compose_gamma(f, g)
+
+
+def test_compose_memo_is_transparent():
+    # every composable pair of gamma_n images of the exhaustive n = 2 sample:
+    # the memo hands back the composite the function builds
+    trees = sample_trees(2, 3)
+    images = {
+        gamma_n(f) for s in trees for t in trees for f in hom_theta(s, t, 2)
+    }
+    by_source = {}
+    for g in images:
+        by_source.setdefault(g.source, []).append(g)
+    pairs = 0
+    for f in images:
+        for g in by_source.get(f.target, ()):
+            assert compose_gamma(g, f) is compose_gamma.__wrapped__(g, f)
+            pairs += 1
+    assert pairs == 207  # the distinct pairs the gamma-functor suite composes
+    # a refused pair is refused again and leaves no entry
+    f, g = GammaOperator(1, 2, ((1, 2),)), GammaOperator(1, 3, ((2,),))
+    before = compose_gamma.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(GammaCompositionError):
+            compose_gamma(g, f)
+        assert compose_gamma.cache_info().currsize == before
 
 
 def test_null_object():

@@ -70,6 +70,20 @@ def test_compose():
         compose_delta(f, g)
 
 
+def test_compose_memo_is_transparent():
+    # the memo hands back the composite the function builds; a refused pair
+    # is refused again and leaves no entry
+    homs = {(a, b): hom_delta(a, b) for a in range(4) for b in range(4)}
+    for a, b, c in itertools.product(range(4), repeat=3):
+        for f, g in itertools.product(homs[a, b], homs[b, c]):
+            assert compose_delta(g, f) is compose_delta.__wrapped__(g, f)
+    before = compose_delta.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(SimplicialCompositionError):
+            compose_delta(identity_delta(2), identity_delta(1))
+        assert compose_delta.cache_info().currsize == before
+
+
 def test_factor_epi_mono_example():
     f = SimplicialOperator(2, 2, (0, 0, 2))
     epi, mono = factor_epi_mono(f)

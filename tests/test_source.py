@@ -64,3 +64,35 @@ def test_package_imports_only_the_standard_library():
     # the package is a stdlib-only calculator at run time (README)
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         assert foreign_imports(path.read_text()) == [], path.name
+
+
+def lru_cache_uses(source: str) -> list[int]:
+    """The lines that name functools.lru_cache, imported or called."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        if "lru_cache" in names:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_lru_cache_uses_are_found():
+    source = (
+        "import functools\nfrom functools import lru_cache\n"
+        "@functools.lru_cache(maxsize=8)\ndef f(): pass\n"
+        "@functools.cache\ndef g(): pass\n"
+    )
+    assert lru_cache_uses(source) == [2, 3]
+
+
+def test_every_memo_is_functools_cache():
+    # one idiom, unbounded: no module sizes a memo with lru_cache
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        assert lru_cache_uses(path.read_text()) == [], path.name

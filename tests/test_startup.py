@@ -68,6 +68,35 @@ def test_each_command_loads_only_what_it_runs():
     assert package_modules(loaded_modules([])) == {"cli"}
 
 
+# run CLI commands in a fresh interpreter and print the composition memos' sizes
+MEMO_SIZES = """
+import json, os, sys
+from thetacomb.cli import main
+sys.stdout = open(os.devnull, "w")
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = "thetacomb.theta" in sys.modules
+from thetacomb import gamma, simplex, theta
+memos = (simplex.compose_delta, gamma.compose_gamma, theta._compose_component)
+print(json.dumps([codes, loaded, [m.cache_info().currsize for m in memos]]),
+      file=sys.__stdout__)
+"""
+
+
+def test_em_queries_fill_no_composition_memo():
+    # the memory-bound em frontier loads theta but composes no operator
+    commands = [
+        ["em", "homology", "--n", "3", "--group", "z2", "--max-dim", "8"],
+        ["em", "cells", "--n", "4", "--group", "z2", "--max-dim", "13"],
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", MEMO_SIZES, json.dumps(commands)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[0, 0], True, [0, 0, 0]]
+
+
 def test_every_export_resolves_to_the_object_in_its_home_module():
     assert len(thetacomb.__all__) == len(set(thetacomb.__all__)) > 50
     for name in thetacomb.__all__:

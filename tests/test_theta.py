@@ -7,7 +7,7 @@ import random
 import pytest
 
 from thetacomb.trees import intern
-from thetacomb.gamma import GammaOperator, identity_gamma
+from thetacomb.gamma import GammaOperator, compose_gamma, identity_gamma
 from thetacomb.simplex import (
     SimplicialOperator,
     compose_delta,
@@ -18,6 +18,7 @@ from thetacomb.theta import (
     ThetaCompositionError,
     ThetaOperator,
     ThetaShapeError,
+    _compose_component,
     _shuffle_pairs,
     bang,
     classify_theta,
@@ -252,6 +253,43 @@ def test_compose_endpoint_errors():
     g = hom_theta(corolla(1), corolla(2), 2)[0]
     with pytest.raises(ThetaCompositionError):
         compose_theta(g, f)
+
+
+MEMOS = (compose_delta, compose_gamma, _compose_component)
+
+
+def test_compose_memos_are_transparent():
+    # the components go through the memoised composite, the top level not
+    assert _compose_component.__wrapped__ is compose_theta
+    assert not hasattr(compose_theta, "cache_info")
+    rng = random.Random(1)
+    trees3 = all_trees(3, 4)
+    pairs = [
+        (g, f)
+        for s, t, u in itertools.product(all_trees(2, 2), repeat=3)
+        for f in hom_theta(s, t, 2)
+        for g in hom_theta(t, u, 2)
+    ]
+    for _ in range(100):
+        s, t, u = (rng.choice(trees3) for _ in range(3))
+        pairs.append((rng.choice(hom_theta(t, u, 3)), rng.choice(hom_theta(s, t, 3))))
+    composites = [compose_theta(g, f) for g, f in pairs]
+    assert [_compose_component(g, f) for g, f in pairs] == composites
+    for memo in MEMOS:
+        memo.cache_clear()
+    assert all(compose_theta(g, f) is gf for (g, f), gf in zip(pairs, composites))
+
+
+def test_refused_composites_leave_no_memo_entry():
+    f = hom_theta(corolla(1), corolla(2), 2)[0]
+    level_1 = hom_theta(corolla(2), corolla(1), 1)[0]
+    before = [memo.cache_info().currsize for memo in MEMOS]
+    for compose in (compose_theta, _compose_component):
+        for g, message in ((f, "endpoint mismatch"), (level_1, "level mismatch")):
+            for _ in range(2):
+                with pytest.raises(ThetaCompositionError, match=message):
+                    compose(g, f)
+                assert [memo.cache_info().currsize for memo in MEMOS] == before
 
 
 def test_is_retraction():
