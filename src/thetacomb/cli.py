@@ -8,13 +8,12 @@ when the reader closes stdout early), 1 verification mismatch, 2 usage
 error, 3 memory cap exceeded or input too deep.
 
 Each command imports the modules it runs when it runs, so a query loads
-and compiles only those.
+and compiles only those; only --format json loads json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -29,6 +28,8 @@ EXIT_UNSUPPORTED = 3
 
 def _emit_table(header: tuple[str, str], rows: list[tuple], fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps([dict(zip(header, row)) for row in rows]))
     else:
         print(",".join(header))

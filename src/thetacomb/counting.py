@@ -16,27 +16,6 @@ from .trees import HashConsed, intern
 Poly = tuple[int, ...]  # coefficients, constant term first
 
 
-def _poly_trim(c: list[int]) -> Poly:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return _poly_trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
 def _poly_eval(a: Poly, t: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(a):
@@ -50,7 +29,7 @@ class ExpansionError(ValueError):
 
 class RationalGF(HashConsed):
     """Quotient of integer-coefficient polynomials, kept as given (no GCD
-    reduction); exact arithmetic and power-series expansion."""
+    reduction); exact evaluation and power-series expansion."""
 
     __slots__ = _fields = ("numerator", "denominator")
 
@@ -60,21 +39,6 @@ class RationalGF(HashConsed):
     def _build(self):
         if all(c == 0 for c in self.denominator):
             raise ZeroDivisionError("zero denominator polynomial")
-
-    def __add__(self, other: "RationalGF") -> "RationalGF":
-        return RationalGF(
-            _poly_add(
-                _poly_mul(self.numerator, other.denominator),
-                _poly_mul(other.numerator, self.denominator),
-            ),
-            _poly_mul(self.denominator, other.denominator),
-        )
-
-    def __mul__(self, other: "RationalGF") -> "RationalGF":
-        return RationalGF(
-            _poly_mul(self.numerator, other.numerator),
-            _poly_mul(self.denominator, other.denominator),
-        )
 
     def evaluate(self, t: Fraction) -> Fraction:
         den = _poly_eval(self.denominator, t)

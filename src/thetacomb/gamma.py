@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 
 from .trees import HashConsed, intern
 
@@ -52,12 +51,6 @@ class GammaOperator(HashConsed):
     def __call__(self, i: int) -> tuple[int, ...]:
         """The i-th subset, 1-based."""
         return self.subsets[i - 1]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"src": self.source, "tgt": self.target,
-             "subsets": [list(s) for s in self.subsets]}
-        )
 
 
 def identity_gamma(n: int) -> GammaOperator:
@@ -124,9 +117,6 @@ class FiniteAbelianGroup(HashConsed):
     def non_neutral(self) -> list[tuple[int, ...]]:
         e = self.neutral
         return [x for x in self.elements() if x != e]
-
-    def spec_string(self) -> str:
-        return "x".join(f"z{m}" for m in self.cyclic_orders)
 
 
 def parse_group(spec: str) -> FiniteAbelianGroup:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 
 from .gamma import GammaOperator
 from .trees import HashConsed, intern
@@ -65,11 +64,6 @@ class SimplicialOperator(HashConsed):
     @property
     def is_identity(self) -> bool:
         return self is identity_delta(self.source)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"src": self.source, "tgt": self.target, "values": list(self.values)}
-        )
 
 
 def identity_delta(m: int) -> SimplicialOperator:

@@ -27,7 +27,6 @@ factorization of f: S -> T is f's non-degenerate core in Theta_n[T].
 from __future__ import annotations
 
 import functools
-import json
 from itertools import accumulate, combinations, product
 from typing import Callable, Iterator
 
@@ -95,20 +94,6 @@ class ThetaOperator(HashConsed):
     @property
     def is_identity(self) -> bool:
         return _every_level(self, lambda g: g.source == g.target and g.phi.is_identity)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "src": self.source.render(),
-            "tgt": self.target.render(),
-            "phi": list(self.phi.values),
-            "components": [
-                [c.to_json_dict() for c in row] for row in self.components
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def identity_theta(tree: LevelTree, n: int) -> ThetaOperator:

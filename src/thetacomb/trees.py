@@ -22,7 +22,6 @@ children.
 from __future__ import annotations
 
 import functools
-import json
 from typing import Iterator
 
 
@@ -282,24 +281,6 @@ class NGraph:
     @property
     def dimension(self) -> int:
         return len(self.cells) - 1
-
-    def to_json(self) -> str:
-        def key(c: CellId) -> str:
-            return "/".join(str(i) for i in c)
-
-        return json.dumps(
-            {
-                "cells": [[key(c) for c in layer] for layer in self.cells],
-                "source": [
-                    {key(c): key(self.source[c]) for c in layer}
-                    for layer in self.cells[1:]
-                ],
-                "target": [
-                    {key(c): key(self.target[c]) for c in layer}
-                    for layer in self.cells[1:]
-                ],
-            }
-        )
 
 
 def star(tree: LevelTree, n: int) -> NGraph:

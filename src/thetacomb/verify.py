@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .counting import euler_char, fib_numbers, gf_coefficients, gf_em
-from .gamma import FiniteAbelianGroup, compose_gamma, parse_group
+from .gamma import FiniteAbelianGroup, compose_gamma, hom_gamma, identity_gamma, parse_group
 from .presheaf import (
     cell_census,
     chain_complex,
@@ -175,27 +175,57 @@ def suite_factorization() -> list[Check]:
     return checks
 
 
+@functools.cache
+def _gammas(s: LevelTree, t: LevelTree) -> tuple:
+    return tuple(map(gamma_n, hom_theta(s, t, 2)))
+
+
+def _functoriality_violations(triples) -> tuple[int, int]:
+    """Pairs s -> t -> u of the n=2 triples breaking functoriality, and all pairs."""
+    bad = total = 0
+    for s, t, u in triples:
+        g_su, g_tu = _gammas(s, u), _gammas(t, u)
+        for row, gamma_f in zip(composition_table(s, t, u), _gammas(s, t)):
+            total += len(row)
+            bad += sum(g_su[gf] != compose_gamma(g, gamma_f) for gf, g in zip(row, g_tu))
+    return bad, total
+
+
 def suite_gamma_functor() -> list[Check]:
     checks: list[Check] = []
+    # Gamma's own laws: at these endpoints g's subsets can give a union out of order
+    homs = {(m, n): hom_gamma(m, n) for m in range(3) for n in range(3)}
+    ids = [identity_gamma(m) for m in range(3)]
+    bad_id = sum(compose_gamma(ids[n], f) != f or compose_gamma(f, ids[m]) != f
+                 for (m, n), fs in homs.items() for f in fs)
+    checks.append(
+        ("Gamma identity laws, exhaustive endpoints <= 2",
+         bad_id == 0, f"{bad_id} violations")
+    )
+    triples = [fgh for a, b, c, d in itertools.product(range(3), repeat=4)
+               for fgh in itertools.product(homs[a, b], homs[b, c], homs[c, d])]
+    bad = sum(compose_gamma(compose_gamma(h, g), f) != compose_gamma(h, compose_gamma(g, f))
+              for f, g, h in triples)
+    checks.append(
+        ("Gamma associativity, exhaustive endpoints <= 2", bad == 0,
+         f"{bad}/{len(triples)} violations")
+    )
     trees = sample_trees(2, 3)
-    gammas = {
-        (s, t): [gamma_n(f) for f in hom_theta(s, t, 2)] for s in trees for t in trees
-    }
-    bad_fun = 0
-    total = 0
-    for s, t, u in itertools.product(trees, repeat=3):
-        g_su, g_tu = gammas[(s, u)], gammas[(t, u)]
-        for row, gamma_f in zip(composition_table(s, t, u), gammas[(s, t)]):
-            for gf, gamma_g in zip(row, g_tu):
-                total += 1
-                if g_su[gf] != compose_gamma(gamma_g, gamma_f):
-                    bad_fun += 1
+    bad_fun, total = _functoriality_violations(itertools.product(trees, repeat=3))
     checks.append(
         ("gamma_n functoriality, exhaustive n=2 trees <= 3 edges",
          bad_fun == 0, f"{bad_fun}/{total} violations")
     )
+    # only a 4-edge target has two height-2 vertices under one row's components
+    small = sample_trees(2, 2)
+    triples = itertools.product(small, small, enumerate_trees(2, 4))
+    bad_fun, total = _functoriality_violations(triples)
+    checks.append(
+        ("gamma_n functoriality, n=2 trees <= 2 edges into 4 edges",
+         bad_fun == 0, f"{bad_fun}/{total} violations")
+    )
     bad_susp = 0
-    for s, t in gammas:
+    for s, t in itertools.product(trees, repeat=2):
         for f in hom_theta(s, t, 2):
             if gamma_n(suspend(f)) != gamma_n(f):
                 bad_susp += 1

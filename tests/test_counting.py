@@ -40,6 +40,11 @@ def test_gf_em_display_forms():
     assert gf_em(2, 2) == RationalGF((1, -1), (1, -1, -1))
     assert gf_em(2, 3) == RationalGF((1, -2), (1, -2, -2))
     assert gf_fib(2, 2) == RationalGF((1,), (1, -1, -1))
+    for n, p in ((0, 2), (1, 1)):
+        with pytest.raises(ValueError, match="need n >= 1 and p >= 2"):
+            gf_em(n, p)
+        with pytest.raises(ValueError, match="need n >= 1 and p >= 2"):
+            gf_fib(n, p)
 
 
 def test_gf_coefficients():
@@ -48,6 +53,10 @@ def test_gf_coefficients():
     assert gf_coefficients(gf_em(3, 2), 6) == [1, 0, 0, 1, 1, 2, 4]
     with pytest.raises(ExpansionError):
         gf_coefficients(RationalGF((1,), (0, 1)), 2)
+    with pytest.raises(ExpansionError, match="non-integer coefficient 1/2"):
+        RationalGF((1,), (2,)).coefficients(2)
+    with pytest.raises(ZeroDivisionError, match="denominator vanishes at t=-1"):
+        RationalGF((1,), (1, 1)).evaluate(Fraction(-1))
 
 
 def test_gf_coefficients_match_fib():
@@ -58,16 +67,6 @@ def test_gf_coefficients_match_fib():
             assert all(c == 0 for c in coeffs[1:n])
             assert coeffs[n:] == fib_numbers(n, p, 12)
             assert all(c >= 0 for c in coeffs)
-
-
-def test_rational_gf_arithmetic():
-    half = RationalGF((1,), (2,))
-    one = RationalGF((1,), (1,))
-    s = half + half
-    assert s.evaluate(Fraction(5)) == 1
-    assert (half * one).evaluate(Fraction(3)) == Fraction(1, 2)
-    geom = RationalGF((1,), (1, -1))
-    assert (geom * geom).coefficients(5) == [1, 2, 3, 4, 5]
 
 
 def test_euler_char():

@@ -180,7 +180,6 @@ def test_groups():
     assert Z2.order == 2 and Z3.order == 3 and Z2Z2.order == 4
     z24 = parse_group("z2xz4")
     assert z24.cyclic_orders == (2, 4) and z24.order == 8
-    assert z24.spec_string() == "z2xz4"
     assert z24.add((1, 3), (1, 2)) == (0, 1)
     assert len(z24.elements()) == 8 and len(z24.non_neutral()) == 7
     with pytest.raises(ValueError):
@@ -208,10 +207,3 @@ def test_h_pi_act_functorial():
                         assert h_pi_act(pi, f, h_pi_act(pi, g, x)) == h_pi_act(
                             pi, compose_gamma(g, f), x
                         )
-
-
-def test_json():
-    import json
-
-    data = json.loads(GammaOperator(2, 3, ((1,), (2, 3))).to_json())
-    assert data == {"src": 2, "tgt": 3, "subsets": [[1], [2, 3]]}

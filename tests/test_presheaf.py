@@ -43,6 +43,8 @@ def test_em_eval():
     y = em_set(Z2, 2)
     assert y.eval(corolla(3)) == [()]  # height < n: singleton basepoint
     assert len(y.eval(parse_tree("[[[]],[[],[]]]"))) == 8
+    with pytest.raises(ValueError, match="level n must be >= 1"):
+        em_set(Z2, 0)
 
 
 def test_em_act_degeneracy_inserts_neutral():

@@ -170,10 +170,3 @@ def test_segal_gamma_functorial():
                 assert segal_gamma(compose_delta(g, f)) == compose_gamma(
                     segal_gamma(g), segal_gamma(f)
                 )
-
-
-def test_json():
-    import json
-
-    data = json.loads(SimplicialOperator(1, 2, (0, 2)).to_json())
-    assert data == {"src": 1, "tgt": 2, "values": [0, 2]}

@@ -1,6 +1,7 @@
 """What a cold start loads: the package's lazy exports, the modules each
-CLI command imports, and the plain classes that stand where dataclasses
-stood (dataclasses imports inspect, ast and dis)."""
+CLI command imports (json only for --format json), and the plain classes
+that stand where dataclasses stood (dataclasses imports inspect, ast and
+dis)."""
 
 import copy
 import json
@@ -22,26 +23,26 @@ from thetacomb.trees import NGraph, intern
 
 PACKAGE_PATH = str(Path(thetacomb.__file__).resolve().parent.parent)
 
-# run a CLI command in a fresh interpreter and print the modules it loaded
+# run a CLI command in a fresh interpreter and print its exit code and the
+# modules it loaded; the harness itself imports only os and sys
 LOADED = """
-import json, os, sys
+import os, sys
 from thetacomb.cli import main
-argv = json.loads(sys.argv[1])
 sys.stdout = open(os.devnull, "w")
-code = main(argv) if argv else 0
-print(json.dumps([code, sorted(sys.modules)]), file=sys.__stdout__)
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, *sorted(sys.modules), file=sys.__stdout__)
 """
 
 
 def loaded_modules(argv: list[str]) -> set[str]:
     result = subprocess.run(
-        [sys.executable, "-c", LOADED, json.dumps(argv)],
+        [sys.executable, "-c", LOADED, *argv],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
     )
     assert result.returncode == 0, result.stderr
-    code, modules = json.loads(result.stdout)
-    assert code == 0
+    code, *modules = result.stdout.split()
+    assert code == "0"
     return set(modules)
 
 
@@ -51,6 +52,7 @@ def package_modules(modules: set[str]) -> set[str]:
 
 COMMANDS = {
     "count": ["count", "euler", "--n", "1", "--order", "2"],
+    "count fib": ["count", "fib", "--n", "2", "--order", "3", "--terms", "8"],
     "trees": ["trees", "--n", "3", "--edges", "5", "--pruned"],
     "em cells": ["em", "cells", "--n", "2", "--group", "z2", "--max-dim", "5"],
     "em homology": ["em", "homology", "--n", "2", "--group", "z2", "--max-dim", "5"],
@@ -61,7 +63,9 @@ def test_each_command_loads_only_what_it_runs():
     loaded = {name: loaded_modules(argv) for name, argv in COMMANDS.items()}
     for name, modules in loaded.items():
         assert "dataclasses" not in modules, name
+        assert "json" not in modules, name  # CSV output
         assert "verify" not in package_modules(modules), name
+    assert "json" in loaded_modules([*COMMANDS["em cells"], "--format", "json"])
     assert not package_modules(loaded["count"]) & {"theta", "presheaf", "simplex"}
     assert package_modules(loaded["trees"]) == {"cli", "trees"}
     # the parser alone loads no module of the package but cli
@@ -80,6 +84,15 @@ memos = (simplex.compose_delta, gamma.compose_gamma, theta._compose_component)
 print(json.dumps([codes, loaded, [m.cache_info().currsize for m in memos]]),
       file=sys.__stdout__)
 """
+
+
+@pytest.mark.parametrize("name", ["count fib", "em homology"])  # em cells: test_cli
+def test_json_output_is_the_csv_table(name, capsys):
+    assert cli.main(COMMANDS[name]) == 0
+    header, *rows = (line.split(",") for line in capsys.readouterr().out.splitlines())
+    assert cli.main([*COMMANDS[name], "--format", "json"]) == 0
+    table = [dict(zip(header, map(int, row))) for row in rows]
+    assert capsys.readouterr().out == json.dumps(table) + "\n"
 
 
 def test_em_queries_fill_no_composition_memo():

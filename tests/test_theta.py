@@ -560,6 +560,8 @@ def test_diagonal():
     assert d.source == homogeneous_tree([1, 1])
     assert d.phi == f
     assert d.components[0][0].phi == g
+    with pytest.raises(ValueError, match="at least one operator"):
+        diagonal([])
 
 
 def test_diagonal_functorial():
@@ -574,13 +576,3 @@ def test_diagonal_functorial():
         lhs = diagonal([compose_delta(g, f) for g, f in zip(gs, fs)])
         rhs = compose_theta(diagonal(gs), diagonal(fs))
         assert lhs == rhs
-
-
-def test_json_round_shape():
-    import json
-
-    t = parse_tree("[[]]")
-    f = hom_theta(t, t, 2)[0]
-    data = json.loads(f.to_json())
-    assert set(data) == {"level", "src", "tgt", "phi", "components"}
-    assert data["level"] == 2 and data["src"] == "[[]]"

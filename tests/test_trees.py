@@ -84,7 +84,9 @@ def test_parse_whitespace():
     assert parse_tree(" [ [] , [ [] ] ] ") == parse_tree("[[],[[]]]")
 
 
-@pytest.mark.parametrize("bad,pos", [("", 0), ("[", 1), ("[]]", 2), ("[[],]", 4), ("[] []", 3)])
+@pytest.mark.parametrize(
+    "bad,pos", [("", 0), ("[", 1), ("[]]", 2), ("[[],]", 4), ("[] []", 3), ("[[]x]", 3)]
+)
 def test_parse_errors_carry_position(bad, pos):
     with pytest.raises(TreeParseError) as exc:
         parse_tree(bad)
@@ -295,6 +297,8 @@ def test_enumerate_pruned_counts():
     assert all(len(enumerate_pruned(1, k)) == 1 for k in range(1, 8))
     for t in enumerate_pruned(2, 6):
         assert is_pruned(t, 2)
+    with pytest.raises(ValueError, match="pruned enumeration needs n >= 1"):
+        iter_forests(0, 3, pruned=True)
 
 
 def test_enumerate_pruned_matches_filtered_trees():
@@ -361,11 +365,3 @@ def test_star_globular_and_total_order():
                 g = star(t, n)
                 assert has_globular_identities(g)
                 assert generated_order_is_total(g)
-
-
-def test_star_json_shape():
-    import json
-
-    data = json.loads(star(parse_tree("[[],[[]]]"), 2).to_json())
-    assert set(data) == {"cells", "source", "target"}
-    assert len(data["cells"]) == 3
