@@ -46,11 +46,10 @@ def cmd_trees(args) -> int:
 
 
 def cmd_em(args) -> int:
-    from .presheaf import cell_census, em_chains, em_set, homology_f2, oracle_multisimplicial
+    from .presheaf import em_cell_count, em_chains, homology_f2, oracle_multisimplicial
 
     if args.em_command == "cells":
-        census = cell_census(em_set(args.group, args.n), args.max_dim)
-        rows = [(d, census[d]) for d in range(args.max_dim + 1)]
+        rows = [(d, em_cell_count(args.group, args.n, d)) for d in range(args.max_dim + 1)]
         _emit_table(("dimension", "count"), rows, args.format)
         return EXIT_OK
     # homology: degree d needs the boundary in degree d+1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .trees import HashConsed, intern
+from .hashcons import HashConsed, intern
 
 Poly = tuple[int, ...]  # coefficients, constant term first
 

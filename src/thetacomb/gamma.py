@@ -2,7 +2,7 @@
 
 Objects of Gamma are the finite sets n_bar = {1..n}; a morphism
 m_bar -> n_bar is an ordered m-tuple of pairwise disjoint subsets of
-{1..n}.  Operators are hash-consed (trees.HashConsed): one object per
+{1..n}.  Operators are hash-consed (hashcons.HashConsed): one object per
 operator, so equality is identity; composition is memoised on them,
 since gamma_n's functoriality check composes a few hundred pairs tens
 of thousands of times.  Also here: finite abelian groups (products of
@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .trees import HashConsed, intern
+from .hashcons import HashConsed, intern
 
 
 class GammaShapeError(ValueError):

@@ -10,27 +10,27 @@ on each labelled pruned tree read as a bar word n deep, with
 chain_complex's Theta operators as the oracle), and an independent
 oracle for the homology at every level: Serre's Poincare series of
 K(pi,n) over F2.
+
+The cells of K(pi,n) and their count (em_cells, em_cell_count) and its
+chains (em_chains) need no Theta operator, so the module does not load
+theta: the functions that act with operators (em_set, product_set,
+is_nondegenerate, reduce_element, chain_complex) import what they use
+of it when they are called.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .gamma import FiniteAbelianGroup, h_pi_act
-from .theta import (
-    ThetaOperator,
-    codim1_faces,
-    compose_theta,
-    degenerate_along,
-    gamma_n,
-    hom_theta,
-    peel,
-)
 from .trees import (
     LEAF, LevelTree, count_at_height, enumerate_pruned, enumerate_trees, iter_forests
 )
+
+if TYPE_CHECKING:
+    from .theta import ThetaOperator
 
 
 class FiniteThetaSet:
@@ -58,13 +58,44 @@ class FiniteThetaSet:
         self.nondeg_count, self.nondeg_cells = nondeg_count, nondeg_cells
 
 
-def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:
-    """The Eilenberg-MacLane Theta_n-set K(pi,n).  Its non-degenerate
-    cells are the point and the labelings of pruned n-trees by non-neutral
-    elements, so its fast paths list only those shapes: the leaf in
-    degree 0 and the pruned n-trees in degree d >= 1."""
+def _check_level(n: int) -> None:
     if n < 1:
         raise ValueError("level n must be >= 1")
+
+
+def em_cells(pi: FiniteAbelianGroup, n: int, d: int) -> list:
+    """The non-degenerate cells of K(pi,n) over trees with d edges, as
+    (tree, labels) pairs, trees in render order: the point in degree 0,
+    and in degree d >= 1 the labelings of the pruned n-trees' height-n
+    vertices by non-neutral elements."""
+    _check_level(n)
+    shapes = enumerate_pruned(n, d) if d else [LEAF]
+    return [
+        (tree, x)
+        for tree in shapes
+        for x in itertools.product(pi.non_neutral(), repeat=count_at_height(tree, n))
+    ]
+
+
+def em_cell_count(pi: FiniteAbelianGroup, n: int, d: int) -> int:
+    """len(em_cells(pi, n, d)), from the pruned n-trees streamed as child
+    tuples, so counting interns no root."""
+    _check_level(n)
+    if not d:
+        return 1  # the point
+    return sum(
+        (pi.order - 1) ** sum([count_at_height(kid, n - 1) for kid in forest])
+        for forest in iter_forests(n, d, pruned=True)
+    )
+
+
+def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:
+    """The Eilenberg-MacLane Theta_n-set K(pi,n).  Its fast paths are
+    em_cell_count and em_cells, which list only the shapes that carry a
+    non-degenerate cell: the leaf in degree 0 and the pruned n-trees in
+    degree d >= 1."""
+    _check_level(n)
+    from .theta import gamma_n
 
     def eval_tree(tree: LevelTree) -> list:
         k = count_at_height(tree, n)
@@ -73,33 +104,16 @@ def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:
     def action(f: ThetaOperator, x):
         return h_pi_act(pi, gamma_n(f), x)
 
-    def shapes(d: int) -> list[LevelTree]:
-        return enumerate_pruned(n, d) if d else [LEAF]
-
-    def nondeg_count(d: int) -> int:
-        # streams the roots as child tuples, so counting interns no root
-        if not d:
-            return 1  # the point
-        return sum(
-            (pi.order - 1) ** sum([count_at_height(kid, n - 1) for kid in forest])
-            for forest in iter_forests(n, d, pruned=True)
-        )
-
-    def nondeg_cells(d: int) -> list:
-        return [
-            (tree, x)
-            for tree in shapes(d)
-            for x in itertools.product(
-                pi.non_neutral(), repeat=count_at_height(tree, n)
-            )
-        ]
-
-    return FiniteThetaSet(n, eval_tree, action, nondeg_count, nondeg_cells)
+    return FiniteThetaSet(
+        n, eval_tree, action,
+        functools.partial(em_cell_count, pi, n), functools.partial(em_cells, pi, n),
+    )
 
 
 def product_set(s: LevelTree, t: LevelTree, n: int) -> FiniteThetaSet:
     """The product of representables Theta_n[S] x Theta_n[T]: elements over
     U are pairs of operators U -> S, U -> T acting by precomposition."""
+    from .theta import compose_theta, hom_theta
 
     def eval_tree(tree: LevelTree) -> list:
         return list(
@@ -116,6 +130,8 @@ def product_set(s: LevelTree, t: LevelTree, n: int) -> FiniteThetaSet:
 def is_nondegenerate(x_set: FiniteThetaSet, tree: LevelTree, x) -> bool:
     """True iff x is not the image of anything along a codimension-1
     retraction out of the tree."""
+    from .theta import degenerate_along
+
     return not any(degenerate_along(tree, x_set.level, x_set.act, x))
 
 
@@ -124,6 +140,8 @@ def reduce_element(
 ) -> tuple[LevelTree, ThetaOperator, object]:
     """The unique non-degenerate core: a tree U, a degeneracy d: S -> U and
     a non-degenerate y over U with act(d, y) = x."""
+    from .theta import peel
+
     return peel(tree, x_set.level, x_set.act, x)
 
 
@@ -211,6 +229,8 @@ def chain_complex(x_set: FiniteThetaSet, dim_bound: int) -> F2ChainComplex:
     reductions along all codimension-1 monomorphisms, keeping only the
     summands that stay non-degenerate; checks that the boundary squares
     to zero."""
+    from .theta import codim1_faces
+
     n = x_set.level
     basis = [_nondeg_layer(x_set, d) for d in range(dim_bound + 1)]
 
@@ -263,7 +283,7 @@ def em_chains(pi: FiniteAbelianGroup, n: int, dim_bound: int) -> F2ChainComplex:
             for merged in shuffles(w[j], w[j + 1]):
                 yield w[:j] + (merged,) + w[j + 2 :]
 
-    basis = list(map(em_set(pi, n).nondeg_cells, range(dim_bound + 1)))
+    basis = [em_cells(pi, n, d) for d in range(dim_bound + 1)]
     words = [[word(n, tree, iter(labels)) for tree, labels in layer] for layer in basis]
     shared.clear()
     complex_ = _f2_chains(words, lambda d, w: faces(n, w))

@@ -1,7 +1,7 @@
 """The simplex category Delta.
 
 Monotone operators between finite ordinals [m] = {0 < 1 < ... < m},
-stored as full value lists and hash-consed (trees.HashConsed): one
+stored as full value lists and hash-consed (hashcons.HashConsed): one
 object per operator, so equality is identity.  Provides composition,
 memoised because Theta_n composes the same few pairs of phi's over and
 over; epi-mono factorization, the face/degeneracy taxonomy with
@@ -15,7 +15,7 @@ import functools
 import itertools
 
 from .gamma import GammaOperator
-from .trees import HashConsed, intern
+from .hashcons import HashConsed, intern
 
 
 class SimplicialShapeError(ValueError):

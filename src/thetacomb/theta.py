@@ -6,7 +6,7 @@ lower-level operator per target branch k in the block
 phi(i-1) < k <= phi(i).  Level 1 is Delta itself: the operator carries
 only phi and the trees are corollas.  Operators are built and read row
 by row: row i holds the operators over source branch i's block.
-Operators are hash-consed (trees.HashConsed), like their trees and
+Operators are hash-consed (hashcons.HashConsed), like their trees and
 phi, so equality is identity; each is checked once, when built, down to
 its components: the one in row i over target branch k has level n - 1
 and runs from source branch i to target branch k, and no tree is taller
@@ -39,7 +39,8 @@ from .simplex import (
     identity_delta,
     segal_gamma,
 )
-from .trees import LEAF, HashConsed, LevelTree, corolla, count_at_height, intern
+from .hashcons import HashConsed, intern
+from .trees import LEAF, LevelTree, corolla, count_at_height
 
 
 class ThetaShapeError(ValueError):

@@ -6,12 +6,9 @@ throughout the rest of the library.  This module provides the data
 structure, a bracket-string encoding, enumeration of all trees or only
 the pruned ones, and the star construction producing globular n-graphs.
 
-Trees are hash-consed: there is one LevelTree object per shape, kept in
-the table _SHAPES, so tree equality is identity and a tree hashes by id
-(Filliatre and Conchon, "Type-safe modular hash-consing", ML Workshop
-2006).  HashConsed and intern do the same for the Delta, Gamma and
-Theta_n operators and for the small value classes (FiniteAbelianGroup,
-DeltaClass, RationalGF).
+Trees are hash-consed (hashcons.HashConsed): there is one LevelTree
+object per shape, kept in the table _SHAPES, so tree equality is
+identity and a tree hashes by id.
 Enumeration generates the trees already in lexicographic order of their
 bracket strings and streams them: no sort, and its only memo is the
 ordered list of candidate children per height.  iter_forests streams the
@@ -21,45 +18,9 @@ children.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterator
 
-
-class HashConsed:
-    """Base of a hash-consed class: _fields names its fields, its __new__
-    returns intern(cls, *fields) and _build checks a new value.  Equality
-    is identity and the hash is id's, both in C; the object is frozen, and
-    copy, deepcopy and pickle return it."""
-
-    __slots__ = _fields = ()
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is frozen; cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _build(self):
-        """Check a new value; the default accepts every value."""
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-@functools.cache
-def intern(cls: type[HashConsed], *fields) -> HashConsed:
-    """The one object of cls with these fields, which its __new__ returns.
-    The cache is the table: a new value is kept only if its _build()
-    accepts it, so each value is checked once; a field that cannot be
-    hashed, such as a list, raises TypeError."""
-    value = object.__new__(cls)
-    for name, field in zip(cls._fields, fields):
-        object.__setattr__(value, name, field)
-    value._build()
-    return value
+from .hashcons import HashConsed
 
 
 class TreeParseError(ValueError):

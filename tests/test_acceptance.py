@@ -7,9 +7,14 @@ printed per criterion (visible with ``pytest -v`` or ``-s``).
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import thetacomb
 from thetacomb.cli import main
 from thetacomb.counting import euler_char, fib_numbers, gf_coefficients, gf_em
 from thetacomb.gamma import FiniteAbelianGroup, parse_group
@@ -34,6 +39,7 @@ from thetacomb.trees import _CHILDREN, corolla, enumerate_trees
 from thetacomb.verify import SUITES, run_suites, sample_trees
 
 THETA2_SUITES = ["wreath-laws", "factorization", "gamma-functor"]
+PACKAGE_PATH = str(Path(thetacomb.__file__).resolve().parent.parent)
 
 
 def _report(number, label, started, budget):
@@ -198,17 +204,29 @@ def test_criterion_11_homology_vs_serre(capsys):
         _report(11, "F2 Betti numbers of K(Z/2,2), K(Z/2,3) through degree 19 match Serre", started, 30)
 
 
-def test_em_homology_builds_no_theta_operators(capsys, monkeypatch):
-    # the CLI's homology must not fall back on reducing Theta operators
-    def refuse(*args):
-        raise AssertionError("em homology used the Theta_n-set chains")
+# run a CLI command in a fresh interpreter, then say on stderr whether it
+# imported theta
+THETA_LOADED = """
+import sys
+from thetacomb.cli import main
+code = main(sys.argv[1:])
+print("thetacomb.theta" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
 
-    for name in ("reduce_element", "codim1_faces", "gamma_n"):
-        monkeypatch.setattr(f"thetacomb.presheaf.{name}", refuse)
-    code = main(["em", "homology", "--n", "3", "--group", "z2", "--max-dim", "8"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert [int(line.split(",")[1]) for line in out.splitlines()[1:]] == serre_betti_z2(3, 8)
+
+def test_em_homology_builds_no_theta_operators():
+    # the CLI's homology must not fall back on the Theta_n-set chains: a
+    # process that never imports theta can build no Theta operator
+    argv = ["em", "homology", "--n", "3", "--group", "z2", "--max-dim", "8"]
+    result = subprocess.run(
+        [sys.executable, "-c", THETA_LOADED, *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
+    )
+    assert result.returncode == 0 and result.stderr == "False\n", result.stderr
+    betti = [int(line.split(",")[1]) for line in result.stdout.splitlines()[1:]]
+    assert betti == serre_betti_z2(3, 8)
 
 
 def _wrong_composite():

@@ -6,10 +6,10 @@ import random
 import pytest
 
 from thetacomb.theta import gamma_n, hom_theta
-from thetacomb.trees import enumerate_trees, intern, vertices_at_height
+from thetacomb.hashcons import intern
+from thetacomb.trees import enumerate_trees, vertices_at_height
 from thetacomb.verify import sample_trees
 from thetacomb.gamma import (
-    FiniteAbelianGroup,
     GammaCompositionError,
     GammaOperator,
     GammaShapeError,
@@ -83,7 +83,8 @@ def test_compose_memo_is_transparent():
         for g in by_source.get(f.target, ()):
             assert compose_gamma(g, f) is compose_gamma.__wrapped__(g, f)
             pairs += 1
-    assert pairs == 207  # the distinct pairs the gamma-functor suite composes
+    # the distinct composable pairs of gamma_n images in this exhaustive sample
+    assert pairs == 207
     # a refused pair is refused again and leaves no entry
     f, g = GammaOperator(1, 2, ((1, 2),)), GammaOperator(1, 3, ((2,),))
     before = compose_gamma.cache_info().currsize

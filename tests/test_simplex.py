@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from thetacomb.trees import intern
+from thetacomb.hashcons import intern
 from thetacomb.gamma import compose_gamma
 from thetacomb.simplex import (
     SimplicialCompositionError,

@@ -7,6 +7,7 @@ from pathlib import Path
 import thetacomb
 
 PACKAGE_DIR = Path(thetacomb.__file__).resolve().parent
+TESTS_DIR = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,7 +35,8 @@ def test_unused_imports_are_found():
 
 def test_no_module_imports_a_name_it_never_uses():
     # __init__.py imports names only to re-export them
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
+    paths = [*sorted(PACKAGE_DIR.glob("*.py")), *sorted(TESTS_DIR.glob("*.py"))]
+    for path in paths:
         if path.name != "__init__.py":
             assert unused_imports(path.read_text()) == [], path.name
 

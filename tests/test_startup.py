@@ -19,7 +19,8 @@ from thetacomb.counting import RationalGF
 from thetacomb.gamma import FiniteAbelianGroup, parse_group
 from thetacomb.presheaf import F2ChainComplex, FiniteThetaSet
 from thetacomb.simplex import DeltaClass
-from thetacomb.trees import NGraph, intern
+from thetacomb.hashcons import intern
+from thetacomb.trees import NGraph
 
 PACKAGE_PATH = str(Path(thetacomb.__file__).resolve().parent.parent)
 
@@ -56,6 +57,8 @@ COMMANDS = {
     "trees": ["trees", "--n", "3", "--edges", "5", "--pruned"],
     "em cells": ["em", "cells", "--n", "2", "--group", "z2", "--max-dim", "5"],
     "em homology": ["em", "homology", "--n", "2", "--group", "z2", "--max-dim", "5"],
+    "em homology --oracle":
+        ["em", "homology", "--n", "2", "--group", "z2", "--max-dim", "5", "--oracle"],
 }
 
 
@@ -66,22 +69,25 @@ def test_each_command_loads_only_what_it_runs():
         assert "json" not in modules, name  # CSV output
         assert "verify" not in package_modules(modules), name
     assert "json" in loaded_modules([*COMMANDS["em cells"], "--format", "json"])
-    assert not package_modules(loaded["count"]) & {"theta", "presheaf", "simplex"}
-    assert package_modules(loaded["trees"]) == {"cli", "trees"}
+    for name in ("count", "count fib"):
+        assert not package_modules(loaded[name]) & {"theta", "presheaf", "simplex", "trees"}
+    for name in ("em cells", "em homology", "em homology --oracle"):
+        assert not package_modules(loaded[name]) & {"theta", "simplex"}, name
+    assert package_modules(loaded["trees"]) == {"cli", "trees", "hashcons"}
     # the parser alone loads no module of the package but cli
     assert package_modules(loaded_modules([])) == {"cli"}
 
 
-# run CLI commands in a fresh interpreter and print the composition memos' sizes
+# run CLI commands in a fresh interpreter and print their exit codes, the
+# modules among theta and simplex they loaded and the Gamma memo's size
 MEMO_SIZES = """
 import json, os, sys
 from thetacomb.cli import main
 sys.stdout = open(os.devnull, "w")
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-loaded = "thetacomb.theta" in sys.modules
-from thetacomb import gamma, simplex, theta
-memos = (simplex.compose_delta, gamma.compose_gamma, theta._compose_component)
-print(json.dumps([codes, loaded, [m.cache_info().currsize for m in memos]]),
+loaded = [m for m in ("thetacomb.theta", "thetacomb.simplex") if m in sys.modules]
+from thetacomb import gamma
+print(json.dumps([codes, loaded, gamma.compose_gamma.cache_info().currsize]),
       file=sys.__stdout__)
 """
 
@@ -96,7 +102,8 @@ def test_json_output_is_the_csv_table(name, capsys):
 
 
 def test_em_queries_fill_no_composition_memo():
-    # the memory-bound em frontier loads theta but composes no operator
+    # the memory-bound em frontier never imports theta or simplex, so it
+    # composes no Theta or Delta operator, and it composes no Gamma operator
     commands = [
         ["em", "homology", "--n", "3", "--group", "z2", "--max-dim", "8"],
         ["em", "cells", "--n", "4", "--group", "z2", "--max-dim", "13"],
@@ -107,7 +114,7 @@ def test_em_queries_fill_no_composition_memo():
         env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [[0, 0], True, [0, 0, 0]]
+    assert json.loads(result.stdout) == [[0, 0], [], 0]
 
 
 def test_every_export_resolves_to_the_object_in_its_home_module():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from thetacomb.trees import intern
+from thetacomb.hashcons import intern
 from thetacomb.gamma import GammaOperator, compose_gamma, identity_gamma
 from thetacomb.simplex import (
     SimplicialOperator,
