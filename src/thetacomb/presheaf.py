@@ -37,25 +37,23 @@ class FiniteThetaSet:
     """Lazy presheaf on Theta_n: eval lists the elements over a tree and
     act(f, x) pulls x back along the operator f.
 
-    The optional fast paths work per degree d: nondeg_count(d) counts the
-    non-degenerate cells over trees with d edges and nondeg_cells(d) lists
-    them as (tree, element) pairs, trees in render order.  They own the
-    shape list, so they need only visit the shapes that can hold a
-    non-degenerate cell.  Without them, the census and the chains test
-    every element over every tree of height <= n."""
+    The optional fast path nondeg_cells(d) lists the non-degenerate cells
+    over trees with d edges as (tree, element) pairs, trees in render
+    order.  It owns the shape list, so it need only visit the shapes that
+    can hold a non-degenerate cell.  Without it, the census and the chains
+    test every element over every tree of height <= n."""
 
-    __slots__ = ("level", "eval", "act", "nondeg_count", "nondeg_cells")
+    __slots__ = ("level", "eval", "act", "nondeg_cells")
 
     def __init__(
         self,
         level: int,
         eval: Callable[[LevelTree], list],
         act: Callable[[ThetaOperator, object], object],
-        nondeg_count: Optional[Callable[[int], int]] = None,
         nondeg_cells: Optional[Callable[[int], list]] = None,
     ):
         self.level, self.eval, self.act = level, eval, act
-        self.nondeg_count, self.nondeg_cells = nondeg_count, nondeg_cells
+        self.nondeg_cells = nondeg_cells
 
 
 def _check_level(n: int) -> None:
@@ -90,10 +88,10 @@ def em_cell_count(pi: FiniteAbelianGroup, n: int, d: int) -> int:
 
 
 def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:
-    """The Eilenberg-MacLane Theta_n-set K(pi,n).  Its fast paths are
-    em_cell_count and em_cells, which list only the shapes that carry a
-    non-degenerate cell: the leaf in degree 0 and the pruned n-trees in
-    degree d >= 1."""
+    """The Eilenberg-MacLane Theta_n-set K(pi,n).  Its fast path is
+    em_cells, which lists only the shapes that carry a non-degenerate
+    cell: the leaf in degree 0 and the pruned n-trees in degree d >= 1.
+    Count them with em_cell_count."""
     _check_level(n)
     from .theta import gamma_n
 
@@ -104,10 +102,7 @@ def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:
     def action(f: ThetaOperator, x):
         return h_pi_act(pi, gamma_n(f), x)
 
-    return FiniteThetaSet(
-        n, eval_tree, action,
-        functools.partial(em_cell_count, pi, n), functools.partial(em_cells, pi, n),
-    )
+    return FiniteThetaSet(n, eval_tree, action, functools.partial(em_cells, pi, n))
 
 
 def product_set(s: LevelTree, t: LevelTree, n: int) -> FiniteThetaSet:
@@ -159,17 +154,10 @@ def _nondeg_layer(x_set: FiniteThetaSet, d: int) -> list:
 
 
 def cell_census(x_set: FiniteThetaSet, dim_bound: int) -> dict[int, int]:
-    """Count of non-degenerate cells per dimension 0..dim_bound, from the
-    set's nondeg_count fast path when it has one: for K(pi,n) that walks
-    only the point and the pruned n-trees."""
-    count = x_set.nondeg_count or (lambda d: len(_nondeg_layer(x_set, d)))
-    return {d: count(d) for d in range(dim_bound + 1)}
-
-
-def product_census(
-    s: LevelTree, t: LevelTree, n: int, dim_bound: int
-) -> dict[int, int]:
-    return cell_census(product_set(s, t, n), dim_bound)
+    """Count of non-degenerate cells per dimension 0..dim_bound, the
+    lengths of the cell layers that chain_complex takes as its basis.
+    K(pi,n) is counted without listing by em_cell_count."""
+    return {d: len(_nondeg_layer(x_set, d)) for d in range(dim_bound + 1)}
 
 
 # --- mod-2 cellular chains --------------------------------------------
@@ -226,9 +214,11 @@ def _f2_chains(
 
 def chain_complex(x_set: FiniteThetaSet, dim_bound: int) -> F2ChainComplex:
     """Cellular F2 chains: the boundary of a non-degenerate cell sums its
-    reductions along all codimension-1 monomorphisms, keeping only the
-    summands that stay non-degenerate; checks that the boundary squares
-    to zero."""
+    pullbacks along all codimension-1 monomorphisms, keeping those that
+    are non-degenerate (a degenerate one is zero in the cellular chains);
+    checks that the boundary squares to zero."""
+    if dim_bound < 0:
+        raise ValueError(f"dimension bound {dim_bound} is negative")
     from .theta import codim1_faces
 
     n = x_set.level
@@ -237,9 +227,9 @@ def chain_complex(x_set: FiniteThetaSet, dim_bound: int) -> F2ChainComplex:
     def faces(d: int, cell: tuple[LevelTree, object]) -> Iterator:
         tree, x = cell
         for face in codim1_faces(tree, n):
-            core_tree, _, y = reduce_element(x_set, face.source, x_set.act(face, x))
-            if core_tree.edges == d - 1:
-                yield core_tree, y
+            y = x_set.act(face, x)
+            if is_nondegenerate(x_set, face.source, y):
+                yield face.source, y
 
     return _f2_chains(basis, faces)
 
@@ -262,6 +252,8 @@ def em_chains(pi: FiniteAbelianGroup, n: int, dim_bound: int) -> F2ChainComplex:
     level-1 face is a bar face without neutral labels; a level-k face is a
     face inside one letter that leaves it non-empty, or merges two adjacent
     letters along a shuffle of their entries, counted mod 2 by shuffles."""
+    if dim_bound < 0:
+        raise ValueError(f"dimension bound {dim_bound} is negative")
     neutral = pi.neutral
     shared: dict[tuple, tuple] = {}  # one copy of each sub-word
 

@@ -10,9 +10,9 @@ Trees are hash-consed (hashcons.HashConsed): there is one LevelTree
 object per shape, kept in the table _SHAPES, so tree equality is
 identity and a tree hashes by id.
 Enumeration generates the trees already in lexicographic order of their
-bracket strings and streams them: no sort, and its only memo is the
-ordered list of candidate children per height.  iter_forests streams the
-roots as child tuples, so a listing read once interns only those
+bracket strings and streams them: no sort and no memo, each listing
+builds its candidate children per height afresh.  iter_forests streams
+the roots as child tuples, so a listing read once interns only those
 children.
 """
 
@@ -118,6 +118,8 @@ def parse_tree(text: str) -> LevelTree:
 
 def linear_tree(n: int) -> LevelTree:
     """The linear tree with one vertex at each height 0..n."""
+    if n < 0:
+        raise ValueError(f"linear tree height {n} is negative")
     t = LEAF
     for _ in range(n):
         t = LevelTree((t,))
@@ -126,6 +128,8 @@ def linear_tree(n: int) -> LevelTree:
 
 def corolla(m: int) -> LevelTree:
     """Height <= 1 tree with m leaves attached to the root."""
+    if m < 0:
+        raise ValueError(f"corolla leaf count {m} is negative")
     return LevelTree((LEAF,) * m)
 
 
@@ -171,25 +175,17 @@ def _forests(kids: list, high: int, slack: int, least: int) -> Iterator[tuple]:
                 branch.pop()
 
 
-# (height, pruned) -> (edge bound, _ordered list at that bound)
-_CHILDREN: dict[tuple[int, bool], tuple[int, list]] = {}
-
-
 def _ordered(h: int, most: int, pruned: bool) -> list[tuple[LevelTree, int]]:
     """(tree, edges) for the trees of height <= h, or if pruned those with
-    every leaf at height h, with at most `most` edges, in bracket order.
-    Built once per height at the largest bound asked for, then filtered."""
+    every leaf at height h, with at most `most` edges, in bracket order."""
+    if most < 0:
+        return []
     if h == 0:
-        return [(LEAF, 0)] if most >= 0 else []
-    built, listing = _CHILDREN.get((h, pruned), (-1, []))
-    if built < most:
-        kids = _ordered(h - 1, most - 1, pruned)
-        # a pruned tree of height h >= 1 has a branch, so weight >= 1
-        forests = _forests(kids, most, most - pruned, h - 1 if pruned else 0)
-        listing = [(tree, tree.edges) for tree in map(LevelTree, forests)]
-        _CHILDREN[(h, pruned)] = (most, listing)
-        return listing
-    return [kid for kid in listing if kid[1] <= most]
+        return [(LEAF, 0)]
+    kids = _ordered(h - 1, most - 1, pruned)
+    # a pruned tree of height h >= 1 has a branch, so weight >= 1
+    forests = _forests(kids, most, most - pruned, h - 1 if pruned else 0)
+    return [(tree, tree.edges) for tree in map(LevelTree, forests)]
 
 
 def iter_forests(n: int, e: int, pruned: bool = False) -> Iterator[tuple[LevelTree, ...]]:
@@ -199,6 +195,8 @@ def iter_forests(n: int, e: int, pruned: bool = False) -> Iterator[tuple[LevelTr
     built, so of a listing read once only the children are interned."""
     if n < 0:
         raise ValueError("tree height bound n must be >= 0")
+    if e < 0:
+        raise ValueError("edge count e must be >= 0")
     if pruned and n < 1:
         raise ValueError("pruned enumeration needs n >= 1")
     if e == 0 or n == 0 or pruned and e < n:  # a pruned n-tree has >= n edges

@@ -12,7 +12,7 @@ from thetacomb.counting import (
     gf_fib,
 )
 from thetacomb.gamma import FiniteAbelianGroup
-from thetacomb.presheaf import em_set
+from thetacomb.presheaf import em_cell_count
 
 
 def test_fib_examples():
@@ -28,8 +28,8 @@ def test_fib_examples():
 def test_recursion_law_on_enumerated_counts():
     for n in range(1, 5):
         for p in (2, 3, 5):
-            k_set = em_set(FiniteAbelianGroup((p,)), n)
-            counts = [k_set.nondeg_count(n + k) for k in range(13 + n)]
+            pi = FiniteAbelianGroup((p,))
+            counts = [em_cell_count(pi, n, n + k) for k in range(13 + n)]
             assert counts[:13] == fib_numbers(n, p, 12)
             for k in range(13):
                 assert (p - 1) * sum(counts[k : k + n]) == counts[k + n]

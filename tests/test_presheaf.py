@@ -18,13 +18,12 @@ from thetacomb.presheaf import (
     gf2_rank,
     is_nondegenerate,
     oracle_multisimplicial,
-    product_census,
     product_set,
     reduce_element,
     shuffles,
 )
-from thetacomb.theta import ThetaOperator, hom_theta, is_retraction
-from thetacomb.trees import LEAF, corolla, enumerate_trees, parse_tree
+from thetacomb.theta import ThetaOperator, codim1_faces, hom_theta, is_retraction
+from thetacomb.trees import LEAF, corolla, enumerate_trees, linear_tree, parse_tree
 from thetacomb.simplex import SimplicialOperator
 
 from test_acceptance import serre_betti_z2
@@ -171,30 +170,54 @@ def test_em_chains_match_theta_set_chains(spec, n, bound):
 
 
 def test_product_census():
-    assert product_census(corolla(1), corolla(1), 1, 2) == {0: 4, 1: 5, 2: 2}
-    assert product_census(corolla(2), corolla(1), 1, 3)[3] == 3
-    # product with the terminal representable changes nothing
-    lone = product_census(corolla(2), LEAF, 1, 2)
-    alone = cell_census(
-        product_set(corolla(2), LEAF, 1), 2
-    )
-    assert lone == alone
+    assert cell_census(product_set(corolla(1), corolla(1), 1), 2) == {0: 4, 1: 5, 2: 2}
+    assert cell_census(product_set(corolla(2), corolla(1), 1), 3)[3] == 3
+    # product with the terminal representable changes nothing: the cells
+    # are those of Theta_1[corolla(2)], the injective operators into it
+    lone = cell_census(product_set(corolla(2), LEAF, 1), 2)
     for d, count in lone.items():
         assert count == len(
-            [
-                f
-                for f in hom_theta(corolla(d), corolla(2), 1)
-                if f.phi.is_injective
-            ]
-        ) * (1 if d else 1)
+            [f for f in hom_theta(corolla(d), corolla(2), 1) if f.phi.is_injective]
+        )
 
 
 def test_product_top_counts_are_binomial():
     for m, n in itertools.product(range(4), repeat=2):
         if m + n == 0:
             continue
-        census = product_census(corolla(m), corolla(n), 1, m + n)
+        census = cell_census(product_set(corolla(m), corolla(n), 1), m + n)
         assert census[m + n] == math.comb(m + n, m)
+
+
+def _peeled_faces(x_set):
+    """The faces of a cell by the earlier rule of chain_complex: peel each
+    pulled-back face to its core with reduce_element and keep it iff the
+    core has d - 1 edges, that is iff the face itself is non-degenerate."""
+    def faces(d, cell):
+        tree, x = cell
+        for face in codim1_faces(tree, x_set.level):
+            core, _, y = reduce_element(x_set, face.source, x_set.act(face, x))
+            if core.edges == d - 1:
+                yield core, y
+
+    return faces
+
+
+@pytest.mark.parametrize(
+    "x_set, bound",
+    [pytest.param(em_set(pi, n), bound, id=f"K({spec},{n})")
+     for pi, spec, cases in ((Z2, "z2", ((1, 5), (2, 6), (3, 6), (4, 7))),
+                             (Z3, "z3", ((1, 4), (2, 5), (3, 5))))
+     for n, bound in cases]
+    + [pytest.param(product_set(corolla(m), corolla(k), 1), m + k, id=f"D[{m}]xD[{k}]")
+       for m in range(5) for k in range(5 - m)]
+    + [pytest.param(product_set(linear_tree(2), corolla(1), 2), 3, id="Theta_2-product")],
+)
+def test_face_rule_matches_peeling(x_set, bound):
+    # chain_complex keeps a face by is_nondegenerate; peeling to the core
+    # must give the same boundary, matrix for matrix
+    ours = chain_complex(x_set, bound)
+    assert _f2_chains(ours.basis, _peeled_faces(x_set)).boundary == ours.boundary
 
 
 def test_chain_boundary_is_zero_for_z2_nerve():
@@ -217,6 +240,11 @@ def test_homology_truncation_error():
     for degree in (-1, -3):
         with pytest.raises(ValueError):
             homology_f2(c, degree)
+    # a negative truncation has no degree 0 to start from
+    with pytest.raises(ValueError, match="dimension bound -1 is negative"):
+        chain_complex(em_set(Z2, 1), -1)
+    with pytest.raises(ValueError, match="dimension bound -1 is negative"):
+        em_chains(Z2, 1, -1)
 
 
 def test_gf2_rank():

@@ -94,7 +94,49 @@ def test_lru_cache_uses_are_found():
     assert lru_cache_uses(source) == [2, 3]
 
 
+def empty_globals(source: str) -> list[str]:
+    """The module-level names bound to an empty dict, list or set, the
+    shape of a hand-rolled memo."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        empty = (
+            isinstance(value, ast.Dict) and not value.keys
+            or isinstance(value, ast.List) and not value.elts
+            or isinstance(value, ast.Call) and not (value.args or value.keywords)
+            and isinstance(value.func, ast.Name) and value.func.id in ("dict", "list", "set")
+        )
+        if empty:
+            found.extend(
+                f"{target.id} (line {node.lineno})"
+                for target in targets if isinstance(target, ast.Name)
+            )
+    return found
+
+
+def test_empty_globals_are_found():
+    source = (
+        "_A = {}\n_B: dict[int, int] = {}\n_C = _D = []\n_E = set()\n"
+        "_F = {1: 2}\n_G = list(range(3))\n_H: list\n"
+        "def f():\n    local = {}\n"
+    )
+    assert empty_globals(source) == [
+        "_A (line 1)", "_B (line 2)", "_C (line 3)", "_D (line 3)", "_E (line 4)"
+    ]
+
+
 def test_every_memo_is_functools_cache():
-    # one idiom, unbounded: no module sizes a memo with lru_cache
+    # one idiom, unbounded: no module sizes a memo with lru_cache or keeps
+    # one in a module-level container
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        assert lru_cache_uses(path.read_text()) == [], path.name
+        source = path.read_text()
+        assert lru_cache_uses(source) == [], path.name
+        found = empty_globals(source)
+        if path.name == "trees.py":  # the shape table that hash-conses LevelTree
+            found = [name for name in found if not name.startswith("_SHAPES ")]
+        assert found == [], path.name

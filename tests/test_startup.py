@@ -182,7 +182,7 @@ def test_records_keep_their_constructors_and_stay_mutable():
     chains = F2ChainComplex(dim_bound=0, basis=[["pt"]], boundary=[[0]], ranks=[0])
     theta_set = FiniteThetaSet(1, eval=lambda tree: [()], act=lambda f, x: x)
     graph = NGraph(cells=(((0,),),), source={}, target={})
-    assert theta_set.nondeg_count is None and theta_set.nondeg_cells is None
+    assert theta_set.nondeg_cells is None
     assert chains.basis == [["pt"]] and graph.dimension == 0
     for record in (chains, theta_set, graph):
         assert not hasattr(record, "__dict__")

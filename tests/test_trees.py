@@ -6,7 +6,7 @@ import pytest
 
 from thetacomb import trees
 from thetacomb.gamma import parse_group
-from thetacomb.presheaf import cell_census, em_set
+from thetacomb.presheaf import em_cell_count, em_set
 from thetacomb.trees import (
     LEAF,
     LevelTree,
@@ -203,7 +203,8 @@ def test_streamed_roots_are_not_interned():
     listed = sum(1 for _ in iter_forests(4, 12))
     assert len(trees._SHAPES) - before < listed
     before = len(trees._SHAPES)
-    census = cell_census(em_set(parse_group("z2"), 2), 22)
+    z2 = parse_group("z2")
+    census = [em_cell_count(z2, 2, d) for d in range(23)]
     # with z2 one cell per shape: degree 22 alone counts 10,946 roots,
     # though other tests may have interned some of the lower degrees
     assert len(trees._SHAPES) - before < census[22] == 10946
@@ -247,6 +248,21 @@ def test_enumerate_trees_rejects_negative_height():
         enumerate_trees(-1, 2)
     with pytest.raises(ValueError):
         enumerate_trees(-1, 0)
+    # nor trees with a negative number of edges, at any height
+    for n in (0, 1, 3):
+        with pytest.raises(ValueError, match="edge count e must be >= 0"):
+            enumerate_trees(n, -1)
+        with pytest.raises(ValueError, match="edge count e must be >= 0"):
+            iter_forests(n, -2)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="edge count e must be >= 0"):
+            enumerate_pruned(n, -1)
+        with pytest.raises(ValueError, match="edge count e must be >= 0"):
+            iter_forests(n, -1, pruned=True)
+    with pytest.raises(ValueError, match="corolla leaf count -1 is negative"):
+        corolla(-1)
+    with pytest.raises(ValueError, match="linear tree height -1 is negative"):
+        linear_tree(-1)
 
 
 def _count_trees_oracle(n, e, memo=None):
