@@ -15,7 +15,7 @@ _EXPORTS = {
               "hom_gamma", "identity_gamma", "parse_group"),
     "presheaf": ("F2ChainComplex", "FiniteThetaSet", "cell_census", "chain_complex",
                  "em_set", "homology_f2", "is_nondegenerate", "oracle_multisimplicial",
-                 "product_set", "reduce_element"),
+                 "product_set"),
     "simplex": ("DeltaClass", "SimplicialOperator", "classify_delta", "compose_delta",
                 "factor_epi_mono", "hom_delta", "identity_delta", "segal_gamma"),
     "theta": ("ThetaOperator", "classify_theta", "compose_theta", "diagonal",

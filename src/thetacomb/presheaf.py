@@ -3,8 +3,8 @@
 The central object is the reduced Eilenberg-MacLane Theta_n-set
 K(pi,n) = gamma_n^*(H pi): a tree evaluates to labelings of its height-n
 vertices by elements of pi, operators act through gamma_n and subset
-sums.  Also here: products of representables, reduction to the
-non-degenerate core, cell censuses, mod-2 cellular chains with homology
+sums.  Also here: products of representables, the non-degeneracy test,
+cell censuses, mod-2 cellular chains with homology
 (for K(pi,n) also built by em_chains, the iterated bar construction run
 on each labelled pruned tree read as a bar word n deep, with
 chain_complex's Theta operators as the oracle), and an independent
@@ -14,8 +14,8 @@ K(pi,n) over F2.
 The cells of K(pi,n) and their count (em_cells, em_cell_count) and its
 chains (em_chains) need no Theta operator, so the module does not load
 theta: the functions that act with operators (em_set, product_set,
-is_nondegenerate, reduce_element, chain_complex) import what they use
-of it when they are called.
+is_nondegenerate, chain_complex) import what they use of it when they
+are called.
 """
 
 from __future__ import annotations
@@ -128,16 +128,6 @@ def is_nondegenerate(x_set: FiniteThetaSet, tree: LevelTree, x) -> bool:
     from .theta import degenerate_along
 
     return not any(degenerate_along(tree, x_set.level, x_set.act, x))
-
-
-def reduce_element(
-    x_set: FiniteThetaSet, tree: LevelTree, x
-) -> tuple[LevelTree, ThetaOperator, object]:
-    """The unique non-degenerate core: a tree U, a degeneracy d: S -> U and
-    a non-degenerate y over U with act(d, y) = x."""
-    from .theta import peel
-
-    return peel(tree, x_set.level, x_set.act, x)
 
 
 def _nondeg_layer(x_set: FiniteThetaSet, d: int) -> list:

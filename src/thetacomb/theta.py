@@ -60,7 +60,9 @@ class ThetaOperator(HashConsed):
 
     def __init__(self, *args, **kwargs):
         """A no-op that takes the constructor's arguments, so that a wrapper
-        counting constructions (perfbench's tracer) can pass them on."""
+        counting constructor calls (perfbench's tracer) can pass them on.
+        compose_theta interns its composites without the constructor, so
+        such a wrapper does not see them."""
 
     def _build(self):
         n = self.level
@@ -109,14 +111,16 @@ def identity_theta(tree: LevelTree, n: int) -> ThetaOperator:
 def compose_theta(g: ThetaOperator, f: ThetaOperator) -> ThetaOperator:
     """The composite g after f, componentwise at every level: row i of the
     composite is, for each operator of f's row i in turn, g's row over its
-    target branch composed after it, through the memoised _compose_component."""
+    target branch composed after it, through the memoised _compose_component.
+    The composite is looked up in the intern table directly, with no
+    constructor call; a new one is checked by _build there."""
     if f.level != g.level:
         raise ThetaCompositionError("level mismatch")
     if f.target != g.source:
         raise ThetaCompositionError("endpoint mismatch")
     phi = compose_delta(g.phi, f.phi)
     if f.level == 1:
-        return ThetaOperator(1, f.source, g.target, phi)
+        return intern(ThetaOperator, 1, f.source, g.target, phi, ())
     rows = []
     for f_row, start in zip(f.components, f.phi.values):
         row = []
@@ -125,7 +129,7 @@ def compose_theta(g: ThetaOperator, f: ThetaOperator) -> ThetaOperator:
             for g_c in g.components[k]:
                 row.append(_compose_component(g_c, f_c))
         rows.append(tuple(row))
-    return ThetaOperator(f.level, f.source, g.target, phi, tuple(rows))
+    return intern(ThetaOperator, f.level, f.source, g.target, phi, tuple(rows))
 
 
 # Theta_{n-1}'s composition as the rows of a level-n composite use it.  The

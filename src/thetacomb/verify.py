@@ -58,7 +58,8 @@ def composition_table(s: LevelTree, t: LevelTree, u: LevelTree) -> tuple[bytes, 
     process; a composite outside hom_theta(s, u, 2) raises KeyError."""
     pos, hom_tu = _positions(s, u), hom_theta(t, u, 2)
     return tuple(
-        bytes(pos[compose_theta(g, f)] for g in hom_tu) for f in hom_theta(s, t, 2)
+        bytes(map(pos.__getitem__, map(compose_theta, hom_tu, itertools.repeat(f))))
+        for f in hom_theta(s, t, 2)
     )
 
 
@@ -77,16 +78,18 @@ def suite_wreath_laws(seed: int = 0) -> list[Check]:
         ("identity laws, exhaustive n=2 trees <= 3 edges", bad_identity == 0,
          f"{bad_identity} violations")
     )
-    # associativity over all 4.1M composable triples, one (s, t, u, v, f) at
-    # a time: the row of f, as a translation table, sends each hg to (hg)f
+    # associativity over all 4.1M composable triples, one (s, t, u, v) block
+    # at a time: f's row of the (s, t, v) table, as a translation table,
+    # sends each hg to (hg)f; both sides list the block's triples f, g, h
     bad_assoc = 0
     total = 0
-    for s, t, u, v in itertools.product(trees, repeat=4):
-        t_stv, t_suv = composition_table(s, t, v), composition_table(s, u, v)
-        hg = b"".join(composition_table(t, u, v))
-        for row_f, row_fv in zip(composition_table(s, t, u), t_stv):
-            hg_f = hg.translate(row_fv.ljust(256, b"\0"))
-            h_gf = b"".join(map(t_suv.__getitem__, row_f))
+    for s, t, v in itertools.product(trees, repeat=3):
+        f_rows = [row.ljust(256, b"\0") for row in composition_table(s, t, v)]
+        for u in trees:
+            hg = b"".join(composition_table(t, u, v))
+            hg_f = b"".join(map(hg.translate, f_rows))
+            h_gf = b"".join(map(composition_table(s, u, v).__getitem__,
+                                b"".join(composition_table(s, t, u))))
             total += len(hg_f)
             if hg_f != h_gf:
                 bad_assoc += sum(a != b for a, b in zip(hg_f, h_gf))
@@ -187,7 +190,10 @@ def _functoriality_violations(triples) -> tuple[int, int]:
         g_su, g_tu = _gammas(s, u), _gammas(t, u)
         for row, gamma_f in zip(composition_table(s, t, u), _gammas(s, t)):
             total += len(row)
-            bad += sum(g_su[gf] != compose_gamma(g, gamma_f) for gf, g in zip(row, g_tu))
+            got = list(map(g_su.__getitem__, row))
+            want = list(map(compose_gamma, g_tu, itertools.repeat(gamma_f)))
+            if got != want:
+                bad += sum(a != b for a, b in zip(got, want))
     return bad, total
 
 

@@ -14,6 +14,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import thetacomb
 from thetacomb.cli import main
 from thetacomb.counting import euler_char, fib_numbers, gf_coefficients, gf_em
@@ -249,7 +251,9 @@ def _wrong_composite():
     raise AssertionError("the sample has no such pair")
 
 
-def test_a_wrong_composite_fails_every_theta2_suite(monkeypatch):
+@pytest.fixture
+def wrong_composite(monkeypatch):
+    """verify composes with _wrong_composite's w in place of m . r."""
     m, r, w = _wrong_composite()
 
     def wrong_compose(g, f):
@@ -257,11 +261,21 @@ def test_a_wrong_composite_fails_every_theta2_suite(monkeypatch):
 
     verify.composition_table.cache_clear()
     monkeypatch.setattr(verify, "compose_theta", wrong_compose)
-    try:
-        for name in THETA2_SUITES:
-            assert not all(ok for _, ok, _ in run_suites([name])), name
-    finally:
-        verify.composition_table.cache_clear()
+    yield
+    verify.composition_table.cache_clear()
+
+
+def test_a_wrong_composite_fails_every_theta2_suite(wrong_composite):
+    for name in THETA2_SUITES:
+        assert not all(ok for _, ok, _ in run_suites([name])), name
+
+
+def test_a_wrong_composite_is_counted_once_per_triple(wrong_composite):
+    # the checks compare a table block at a time, but count each triple
+    # (associativity) or pair (functoriality) that breaks the law once
+    details = {name: detail for name, _, detail in run_suites(["wreath-laws", "gamma-functor"])}
+    assert details["associativity, exhaustive n=2 trees <= 3 edges"] == "174/4164023 violations"
+    assert details["gamma_n functoriality, exhaustive n=2 trees <= 3 edges"] == "1/47934 violations"
 
 
 def test_theta2_suites_give_the_same_checks_in_any_order():

@@ -19,10 +19,9 @@ from thetacomb.presheaf import (
     is_nondegenerate,
     oracle_multisimplicial,
     product_set,
-    reduce_element,
     shuffles,
 )
-from thetacomb.theta import ThetaOperator, codim1_faces, hom_theta, is_retraction
+from thetacomb.theta import ThetaOperator, codim1_faces, hom_theta, is_retraction, peel
 from thetacomb.trees import LEAF, corolla, enumerate_trees, linear_tree, parse_tree
 from thetacomb.simplex import SimplicialOperator
 
@@ -66,6 +65,12 @@ def test_em_act_functorial():
                     gf = compose_theta(g, f)
                     for el in x.eval(u)[:6]:
                         assert x.act(f, x.act(g, el)) == x.act(gf, el)
+
+
+def reduce_element(x_set, tree, x):
+    """The unique non-degenerate core of x: a tree U, a degeneracy
+    d: S -> U and a non-degenerate y over U with act(d, y) = x."""
+    return peel(tree, x_set.level, x_set.act, x)
 
 
 def test_reduce_examples():

@@ -1,8 +1,11 @@
 import copy
 import itertools
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +48,8 @@ from thetacomb.trees import (
     parse_tree,
 )
 from thetacomb.verify import composition_table, sample_trees
+
+from test_startup import PACKAGE_PATH
 
 
 def homogeneous_tree(ks: list[int]) -> LevelTree:
@@ -132,7 +137,9 @@ def test_operators_are_hash_consed():
 
 
 def test_init_can_be_wrapped_to_count_constructions(monkeypatch):
-    # a wrapper of __init__ sees every construction, new or interned
+    # a wrapper of __init__ sees every call of the constructor, new or
+    # interned; compose_theta interns its composites directly, so it does
+    # not see them (test_each_new_composite_is_built_once counts those)
     calls = []
     init = ThetaOperator.__init__
 
@@ -144,6 +151,45 @@ def test_init_can_be_wrapped_to_count_constructions(monkeypatch):
     for _ in range(2):
         identity_theta(corolla(2), 2)
     assert len(calls) == 6
+
+
+# in a fresh interpreter, compose every pair of hom(t, u) x hom(s, t) at
+# n = 2 twice, counting _build calls at level 2; s -> u is in neither hom,
+# so no level-2 composite exists before the first pass
+BUILT_ONCE = """
+import sys
+from thetacomb.theta import ThetaOperator, compose_theta, hom_theta
+from thetacomb.trees import parse_tree
+
+s, t, u = map(parse_tree, sys.argv[1:])
+pairs = [(g, f) for f in hom_theta(s, t, 2) for g in hom_theta(t, u, 2)]
+built = []
+build = ThetaOperator._build
+
+def counted(self):
+    if self.level == 2:
+        built.append(self)
+    build(self)
+
+ThetaOperator._build = counted
+first = [compose_theta(g, f) for g, f in pairs]
+fresh = len(built)
+second = [compose_theta(g, f) for g, f in pairs]
+same = all(a is b for a, b in zip(first, second))
+print(len(pairs), len(set(first)), fresh, len(built), same)
+"""
+
+
+def test_each_new_composite_is_built_once():
+    # compose_theta interns its composites directly: each new one is
+    # checked by _build exactly once, and composing again builds nothing
+    result = subprocess.run(
+        [sys.executable, "-c", BUILT_ONCE, "[[[]],[]]", "[[[],[]]]", "[[[]],[[]]]"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["297", "26", "26", "26", "True"]
 
 
 def test_a_list_field_is_rejected_when_built():
