@@ -1,16 +1,17 @@
 """The iterated wreath product Theta_n of the simplex category.
 
-An operator at level n >= 2 between level-trees pairs a simplicial
+An operator at level n >= 1 between level-trees pairs a simplicial
 operator phi between root valences with, for each source branch i, one
-lower-level operator per target branch k in the block
-phi(i-1) < k <= phi(i).  Level 1 is Delta itself: the operator carries
-only phi and the trees are corollas.  Operators are built and read row
-by row: row i holds the operators over source branch i's block.
-Operators are hash-consed (hashcons.HashConsed), like their trees and
-phi, so equality is identity; each is checked once, when built, down to
-its components: the one in row i over target branch k has level n - 1
-and runs from source branch i to target branch k, and no tree is taller
-than n.
+level-(n-1) operator per target branch k in the block
+phi(i-1) < k <= phi(i).  The recursion starts at the point Theta_0, the
+leaf with its identity, so Theta_1 = Delta wr Theta_0 is Delta: a level-1
+operator carries one point in each slot of each block.  Operators are
+built and read row by row: row i holds the operators over source branch
+i's block.  Operators are hash-consed (hashcons.HashConsed), like their
+trees and phi, so equality is identity; each is checked once, when
+built, down to its components: the one in row i over target branch k has
+level n - 1 and runs from source branch i to target branch k, and no
+tree is taller than n.
 
 Provides composition (the components through a memo of Theta_{n-1}'s
 composition, the top level unmemoised), identities, hom enumeration,
@@ -30,17 +31,16 @@ import functools
 from itertools import accumulate, combinations, product
 from typing import Callable, Iterator
 
-from .gamma import GammaOperator
+from .gamma import GammaOperator, identity_gamma
 from .simplex import (
     SimplicialOperator,
     classify_delta,
     compose_delta,
     hom_delta,
     identity_delta,
-    segal_gamma,
 )
 from .hashcons import HashConsed, intern
-from .trees import LEAF, LevelTree, corolla, count_at_height
+from .trees import LEAF, LevelTree, count_at_height
 
 
 class ThetaShapeError(ValueError):
@@ -55,7 +55,7 @@ class ThetaOperator(HashConsed):
     __slots__ = _fields = ("level", "source", "target", "phi", "components")
 
     def __new__(cls, level: int, source: LevelTree, target: LevelTree,
-                phi: SimplicialOperator, components: tuple[tuple, ...] = ()):
+                phi: SimplicialOperator, components: tuple[tuple, ...]):
         return intern(cls, level, source, target, phi, components)
 
     def __init__(self, *args, **kwargs):
@@ -66,15 +66,12 @@ class ThetaOperator(HashConsed):
 
     def _build(self):
         n = self.level
-        if n < 1:
-            raise ThetaShapeError(f"level {n} is below 1")
+        if n < 0:
+            raise ThetaShapeError(f"level {n} is below 0")
         m = len(self.source.children)
         if self.phi.source != m or self.phi.target != len(self.target.children):
             raise ThetaShapeError("phi endpoints do not match root valences")
-        if n == 1:
-            if self.components:
-                raise ThetaShapeError("level-1 operators carry no components")
-        elif len(self.components) != m:
+        if len(self.components) != m:
             raise ThetaShapeError("one component row per source branch required")
         values, targets = self.phi.values, self.target.children
         for i, (row, branch) in enumerate(zip(self.components, self.source.children), 1):
@@ -100,12 +97,8 @@ class ThetaOperator(HashConsed):
 
 
 def identity_theta(tree: LevelTree, n: int) -> ThetaOperator:
-    m = len(tree.children)
-    phi = identity_delta(m)
-    if n == 1:
-        return ThetaOperator(1, tree, tree, phi)
     rows = tuple((identity_theta(c, n - 1),) for c in tree.children)
-    return ThetaOperator(n, tree, tree, phi, rows)
+    return ThetaOperator(n, tree, tree, identity_delta(len(tree.children)), rows)
 
 
 def compose_theta(g: ThetaOperator, f: ThetaOperator) -> ThetaOperator:
@@ -119,8 +112,6 @@ def compose_theta(g: ThetaOperator, f: ThetaOperator) -> ThetaOperator:
     if f.target != g.source:
         raise ThetaCompositionError("endpoint mismatch")
     phi = compose_delta(g.phi, f.phi)
-    if f.level == 1:
-        return intern(ThetaOperator, 1, f.source, g.target, phi, ())
     rows = []
     for f_row, start in zip(f.components, f.phi.values):
         row = []
@@ -144,8 +135,6 @@ def bang(tree: LevelTree, n: int) -> ThetaOperator:
     constant map to [0] and every block is empty."""
     m = len(tree.children)
     phi = SimplicialOperator(m, 0, (0,) * (m + 1))
-    if n == 1:
-        return ThetaOperator(1, tree, LEAF, phi)
     return ThetaOperator(n, tree, LEAF, phi, ((),) * m)
 
 
@@ -154,14 +143,13 @@ def hom_theta(
     source: LevelTree, target: LevelTree, n: int
 ) -> tuple[ThetaOperator, ...]:
     """The full finite hom-set, in a deterministic order: lexicographic in
-    phi, then in the recursive component choices, row by row.  A tree
-    taller than n raises ThetaShapeError at the first operator built."""
+    phi, then in the recursive component choices, row by row.  The
+    recursion ends at level 0, where the leaf has one operator, the point.
+    A tree taller than n raises ThetaShapeError at the first operator
+    built."""
     m, mt = len(source.children), len(target.children)
     out = []
     for phi in hom_delta(m, mt):
-        if n == 1:
-            out.append(ThetaOperator(1, source, target, phi))
-            continue
         row_choices = [
             product(*(hom_theta(child, t, n - 1) for t in target.children[a:b]))
             for child, a, b in zip(source.children, phi.values, phi.values[1:])
@@ -194,11 +182,12 @@ def codim1_retractions(
 
     Every retraction factors through one of these: either a leaf branch is
     dropped at the root, or a codimension-1 retraction is applied inside a
-    single branch.  Level 1 has no components, so its rows are empty.
+    single branch.  At level 1 every branch is a leaf, so only the first
+    kind occurs.
     """
     branches = tree.children
     m = len(branches)
-    ids = [(identity_theta(c, n - 1),) for c in branches] if n > 1 else []
+    ids = [(identity_theta(c, n - 1),) for c in branches]
     ident = identity_delta(m)
     choices = []  # (smaller branches, r phi, r rows, s phi, s rows)
     for i in range(m):
@@ -281,9 +270,6 @@ def _shuffle_pairs(
         for target, keep in ((u, from_u), (v, [not x for x in from_u])):
             values = (0, *accumulate(keep))
             phi = SimplicialOperator(a + b, len(target.children), values)
-            if n == 1:
-                pair.append(ThetaOperator(1, source, target, phi))
-                continue
             rows = tuple(
                 (identity_theta(branch, n - 1),) if k else ()
                 for k, branch in zip(keep, source.children)
@@ -307,7 +293,8 @@ def codim1_faces(target: LevelTree, n: int) -> tuple[ThetaOperator, ...]:
     - inside one branch: phi = id, a codimension-1 face in one branch and
       identities elsewhere.
 
-    Level 1 is the same rule without components, all branches being leaves.
+    At level 1 all branches are leaves: the inner face's shuffle pair is
+    the one pair of points, and no branch has a face inside it.
     """
     branches = target.children
     m = len(branches)
@@ -315,8 +302,6 @@ def codim1_faces(target: LevelTree, n: int) -> tuple[ThetaOperator, ...]:
         SimplicialOperator(m - 1, m, tuple(k for k in range(m + 1) if k != j))
         for j in range(m + 1)
     ] if m else []
-    if n == 1:
-        return tuple(ThetaOperator(1, corolla(m - 1), target, phi) for phi in cofaces)
     ids = [(identity_theta(c, n - 1),) for c in branches]
     choices = []  # (phi, component rows) per face
     for j, phi in enumerate(cofaces):
@@ -399,10 +384,11 @@ def dim_theta(tree: LevelTree) -> int:
 def gamma_n(f: ThetaOperator) -> GammaOperator:
     """The assembly functor Theta_n -> Gamma: the trace of f on height-n
     vertices, in planar order: a vertex of source branch i goes to its images
-    under row i's operators, each shifted past the earlier target branches."""
+    under row i's operators, each shifted past the earlier target branches.
+    The point's one vertex, the root, goes to itself."""
     n = f.level
-    if n == 1:
-        return segal_gamma(f.phi)
+    if n == 0:
+        return identity_gamma(1)
     offsets = (0, *accumulate(count_at_height(c, n - 1) for c in f.target.children))
     subsets = []
     for row, start, branch in zip(f.components, f.phi.values, f.source.children):
@@ -429,10 +415,6 @@ def suspend(f: ThetaOperator) -> ThetaOperator:
 def embed(f: ThetaOperator) -> ThetaOperator:
     """The full embedding Theta_n -> Theta_{n+1}: same trees and phi, with
     components reinterpreted one level up."""
-    if f.level == 1:
-        leaf = identity_theta(LEAF, 1)
-        rows = tuple((leaf,) * (b - a) for a, b in zip(f.phi.values, f.phi.values[1:]))
-        return ThetaOperator(2, f.source, f.target, f.phi, rows)
     rows = tuple(tuple(embed(c) for c in row) for row in f.components)
     return ThetaOperator(f.level + 1, f.source, f.target, f.phi, rows)
 
@@ -440,13 +422,11 @@ def embed(f: ThetaOperator) -> ThetaOperator:
 def diagonal(fs: list[SimplicialOperator]) -> ThetaOperator:
     """The diagonal functor delta_n: Delta^n -> Theta_n on a tuple of
     simplicial operators: phi is the first and every block slot repeats
-    the diagonal of the rest."""
+    the diagonal of the rest, the point after the last."""
     if not fs:
         raise ValueError("diagonal needs at least one operator")
     head = fs[0]
-    if len(fs) == 1:
-        return ThetaOperator(1, corolla(head.source), corolla(head.target), head)
-    rest = diagonal(fs[1:])
+    rest = diagonal(fs[1:]) if fs[1:] else identity_theta(LEAF, 0)
     src = LevelTree((rest.source,) * head.source)
     tgt = LevelTree((rest.target,) * head.target)
     rows = tuple((rest,) * (b - a) for a, b in zip(head.values, head.values[1:]))

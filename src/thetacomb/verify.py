@@ -29,6 +29,7 @@ from .theta import (
     gamma_n,
     hom_theta,
     identity_theta,
+    is_face,
     is_retraction,
     reedy_factor,
     suspend,
@@ -122,12 +123,6 @@ def _retraction_positions(s: LevelTree, u: LevelTree) -> tuple[int, ...]:
     return tuple(i for i, r in enumerate(hom_theta(s, u, 2)) if is_retraction(r))
 
 
-@functools.cache
-def _is_mono(m: ThetaOperator) -> bool:
-    """The independent mono test: m's Reedy degeneracy is an identity."""
-    return reedy_factor(m)[0].is_identity
-
-
 def brute_force_reedy(
     f: ThetaOperator, trees: list[LevelTree]
 ) -> list[tuple[ThetaOperator, ThetaOperator]]:
@@ -142,7 +137,7 @@ def brute_force_reedy(
         hom_su, hom_ut = hom_theta(f.source, u, 2), hom_theta(u, f.target, 2)
         for i in _retraction_positions(f.source, u):
             for m, mr in zip(hom_ut, table[i]):
-                if mr == fi and _is_mono(m):
+                if mr == fi and is_face(m):
                     found.append((hom_su[i], m))
     return found
 

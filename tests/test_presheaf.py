@@ -21,7 +21,7 @@ from thetacomb.presheaf import (
     product_set,
     shuffles,
 )
-from thetacomb.theta import ThetaOperator, codim1_faces, hom_theta, is_retraction, peel
+from thetacomb.theta import codim1_faces, diagonal, hom_theta, is_retraction, peel
 from thetacomb.trees import LEAF, corolla, enumerate_trees, linear_tree, parse_tree
 from thetacomb.simplex import SimplicialOperator
 
@@ -47,7 +47,7 @@ def test_em_eval():
 
 def test_em_act_degeneracy_inserts_neutral():
     x = em_set(Z2, 1)
-    d = ThetaOperator(1, corolla(3), corolla(2), SimplicialOperator(3, 2, (0, 1, 1, 2)))
+    d = diagonal([SimplicialOperator(3, 2, (0, 1, 1, 2))])
     a, b = (1,), (1,)
     assert x.act(d, (a, b)) == (a, (0,), b)
 

@@ -140,3 +140,35 @@ def test_every_memo_is_functools_cache():
         if path.name == "trees.py":  # the shape table that hash-conses LevelTree
             found = [name for name in found if not name.startswith("_SHAPES ")]
         assert found == [], path.name
+
+
+def level_1_forks(source: str) -> list[int]:
+    """The lines that compare n or an attribute .level with the constant 1,
+    the shape of a branch that gives level 1 its own code path."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        levels = any(
+            isinstance(x, ast.Name) and x.id == "n"
+            or isinstance(x, ast.Attribute) and x.attr == "level"
+            for x in operands
+        )
+        one = any(isinstance(x, ast.Constant) and x.value == 1 for x in operands)
+        if levels and one:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_level_1_forks_are_found():
+    source = (
+        "if n == 1: pass\nif f.level > 1: pass\nx = 1 < n\n"
+        "if n == 0 or m == 1: pass\nk = n - 1\nif g.level != f.level: pass\n"
+    )
+    assert level_1_forks(source) == [1, 2, 3]
+
+
+def test_theta_has_no_level_1_fork():
+    # every level recurses down to the point Theta_0 the same way
+    assert level_1_forks((PACKAGE_DIR / "theta.py").read_text()) == []

@@ -16,6 +16,7 @@ from thetacomb.simplex import (
     compose_delta,
     hom_delta,
     identity_delta,
+    segal_gamma,
 )
 from thetacomb.theta import (
     ThetaCompositionError,
@@ -52,6 +53,9 @@ from thetacomb.verify import composition_table, sample_trees
 from test_startup import PACKAGE_PATH
 
 
+POINT = identity_theta(LEAF, 0)
+
+
 def homogeneous_tree(ks: list[int]) -> LevelTree:
     """The tree with ks[0] root branches, each with ks[1] branches, etc."""
     if not ks:
@@ -69,15 +73,15 @@ def test_identity_and_validation():
     assert compose_theta(i, i) == i and i.is_identity
     assert identity_theta(LEAF, 1).phi == identity_delta(0)
     assert identity_theta(corolla(2), 1).phi == identity_delta(2)
-    with pytest.raises(ThetaShapeError):
+    # a tree too tall for its level fails at its innermost component
+    with pytest.raises(ThetaShapeError, match="level -1 is below 0"):
         identity_theta(linear_tree(2), 1)
     with pytest.raises(ThetaShapeError):
-        ThetaOperator(1, corolla(2), corolla(1), identity_delta(1))
-    # there is no level 0: gamma_n and suspend would misread one
+        ThetaOperator(1, corolla(2), corolla(1), identity_delta(1), ((POINT,),))
     with pytest.raises(ThetaShapeError):
-        identity_theta(LEAF, 0)
+        identity_theta(LEAF, -1)
     with pytest.raises(ThetaShapeError):
-        hom_theta(LEAF, LEAF, 0)
+        hom_theta(LEAF, LEAF, -1)
 
 
 def test_shape_errors_leave_no_entry():
@@ -85,13 +89,11 @@ def test_shape_errors_leave_no_entry():
     one, two = identity_delta(1), identity_delta(2)
     leaf = identity_theta(LEAF, 1)
     cases = [
-        ((0, LEAF, LEAF, identity_delta(0)), "level 0 is below 1"),
-        ((2, corolla(2), corolla(2), one),
+        ((-1, LEAF, LEAF, identity_delta(0), ()), "level -1 is below 0"),
+        ((2, corolla(2), corolla(2), one, ()),
          "phi endpoints do not match root valences"),
         ((1, corolla(1), corolla(1), one, ((leaf,),)),
-         "level-1 operators carry no components"),
-        ((1, linear_tree(2), linear_tree(2), one),
-         "level-1 trees must have height <= 1"),
+         "component of row 1 at target branch 1 has level 1"),
         ((2, corolla(2), corolla(2), two, ((leaf,),)),
          "one component row per source branch required"),
         ((2, corolla(2), corolla(2), two, ((leaf, leaf), (leaf,))),
@@ -105,6 +107,8 @@ def test_shape_errors_leave_no_entry():
         ((2, corolla(2), LevelTree((LEAF, corolla(1))), two, ((leaf,), (leaf,))),
          "component of row 2 at target branch 2 does not end at target branch 2"),
         # a branch outside every block has no component to bound its height
+        ((1, linear_tree(2), LEAF, SimplicialOperator(1, 0, (0, 0)), ((),)),
+         "level-1 trees must have height <= 1"),
         ((2, LevelTree((linear_tree(2),)), LEAF, SimplicialOperator(1, 0, (0, 0)), ((),)),
          "level-2 trees must have height <= 2"),
     ]
@@ -114,6 +118,30 @@ def test_shape_errors_leave_no_entry():
             with pytest.raises(ThetaShapeError) as error:
                 ThetaOperator(*args)
             assert str(error.value) == message and intern.cache_info().currsize == before
+
+
+def test_level_0_is_the_point():
+    # Theta_0 has one object, the leaf, and one operator, its identity
+    assert hom_theta(LEAF, LEAF, 0) == (POINT,)
+    assert compose_theta(POINT, POINT) is POINT and POINT.is_identity
+    assert suspend(POINT) is identity_theta(corolla(1), 1)
+    assert embed(POINT) is identity_theta(LEAF, 1)
+    assert gamma_n(suspend(POINT)) == gamma_n(POINT) == identity_gamma(1)
+    # a level-1 operator carries one point in each slot of each block
+    f = diagonal([SimplicialOperator(2, 3, (0, 2, 3))])
+    assert f.components == ((POINT, POINT), (POINT,))
+
+
+def test_gamma_1_is_segal_gamma():
+    # gamma_n at level 1, built from the points, against Segal's formula
+    ops = [
+        f
+        for a, b in itertools.product(range(5), repeat=2)
+        for f in hom_theta(corolla(a), corolla(b), 1)
+    ]
+    assert len(ops) == 456
+    for f in ops:
+        assert gamma_n(f) is segal_gamma(f.phi), f
 
 
 def test_operators_are_hash_consed():
@@ -261,8 +289,6 @@ def wreath_compose(g, f):
     operator at (k, l) after f's at (i, k), for the unique k in f's block
     i whose g-block holds l."""
     phi = compose_delta(g.phi, f.phi)
-    if f.level == 1:
-        return ThetaOperator(1, f.source, g.target, phi)
     rows = []
     for i in range(1, f.phi.source + 1):
         row = []
@@ -429,10 +455,10 @@ def test_shuffles_of_height_2_trees():
 
 
 def test_reedy_factor_examples():
-    d = ThetaOperator(1, corolla(3), corolla(2), SimplicialOperator(3, 2, (0, 1, 1, 2)))
+    d = diagonal([SimplicialOperator(3, 2, (0, 1, 1, 2))])
     deg, face = reedy_factor(d)
     assert deg == d and face.is_identity
-    f = ThetaOperator(1, corolla(1), corolla(2), SimplicialOperator(1, 2, (0, 2)))
+    f = diagonal([SimplicialOperator(1, 2, (0, 2))])
     deg, face = reedy_factor(f)
     assert deg.is_identity and face == f
 
@@ -492,11 +518,9 @@ def test_classify_examples():
         ((id_leaf, id_leaf),),
     )
     assert classify_theta(inner) == "inner-face"
-    deg = ThetaOperator(
-        1, corolla(3), corolla(2), SimplicialOperator(3, 2, (0, 1, 1, 2))
-    )
+    deg = diagonal([SimplicialOperator(3, 2, (0, 1, 1, 2))])
     assert classify_theta(deg) == "degeneracy"
-    mixed = ThetaOperator(1, corolla(2), corolla(2), SimplicialOperator(2, 2, (0, 0, 2)))
+    mixed = diagonal([SimplicialOperator(2, 2, (0, 0, 2))])
     assert classify_theta(mixed) == "mixed"
 
 
@@ -557,7 +581,7 @@ def test_gamma_n_examples():
     # target of height < n gives the null object
     f = bang(t, 2)
     assert gamma_n(f) == GammaOperator(3, 0, ((), (), ()))
-    d = ThetaOperator(1, corolla(3), corolla(2), SimplicialOperator(3, 2, (0, 1, 1, 2)))
+    d = diagonal([SimplicialOperator(3, 2, (0, 1, 1, 2))])
     assert gamma_n(d).subsets == ((1,), (), (2,))
 
 
@@ -566,7 +590,7 @@ def test_suspend():
     s = suspend(base)
     assert s.source == parse_tree("[[]]") and s.is_identity
     assert suspend(s).source == linear_tree(2) and suspend(s).is_identity
-    d = ThetaOperator(1, corolla(3), corolla(2), SimplicialOperator(3, 2, (0, 1, 1, 2)))
+    d = diagonal([SimplicialOperator(3, 2, (0, 1, 1, 2))])
     sd = suspend(d)
     assert sd.source == parse_tree("[[[],[],[]]]")
     assert sd.target == parse_tree("[[[],[]]]")
