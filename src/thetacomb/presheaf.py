@@ -4,12 +4,12 @@ The central object is the reduced Eilenberg-MacLane Theta_n-set
 K(pi,n) = gamma_n^*(H pi): a tree evaluates to labelings of its height-n
 vertices by elements of pi, operators act through gamma_n and subset
 sums.  Also here: products of representables, the non-degeneracy test,
-cell censuses, mod-2 cellular chains with homology
-(for K(pi,n) also built by em_chains, the iterated bar construction run
-on each labelled pruned tree read as a bar word n deep, with
-chain_complex's Theta operators as the oracle), and an independent
-oracle for the homology at every level: Serre's Poincare series of
-K(pi,n) over F2.
+cell censuses, mod-2 cellular chains with homology (for K(pi,n) also
+built by em_chains, the iterated bar construction over the augmentation
+ideal of F2[pi] run on each labelled pruned tree read as a bar word n
+deep, with chain_complex's Theta operators as the oracle), and an
+independent oracle for the homology at every level: Serre's Poincare
+series of K(pi,n) over F2.
 
 The cells of K(pi,n) and their count (em_cells, em_cell_count) and its
 chains (em_chains) need no Theta operator, so the module does not load
@@ -224,27 +224,24 @@ def chain_complex(x_set: FiniteThetaSet, dim_bound: int) -> F2ChainComplex:
     return _f2_chains(basis, faces)
 
 
-def _bar_faces(x: tuple, add: Callable) -> Iterator[tuple]:
-    """The faces of a k-simplex [x_1|...|x_k] of a nerve: drop x_1, merge
-    x_i and x_{i+1} by add, drop x_k."""
-    yield x[1:]
-    for i in range(1, len(x)):
-        yield x[: i - 1] + (add(x[i - 1], x[i]),) + x[i + 1 :]
-    yield x[:-1]
-
-
 def em_chains(pi: FiniteAbelianGroup, n: int, dim_bound: int) -> F2ChainComplex:
     """The F2 chains of K(pi,n) on its cells (tree, labels), with the basis
     and boundary of chain_complex(em_set(pi, n), dim_bound) and no Theta
-    operator: the Eilenberg-Mac Lane iterated bar construction.  Each cell
-    is read once as a bar word n deep: a level-0 letter is a label, a
-    level-k word the tuple of its root branches' level-(k-1) words.  A
-    level-1 face is a bar face without neutral labels; a level-k face is a
-    face inside one letter that leaves it non-empty, or merges two adjacent
-    letters along a shuffle of their entries, counted mod 2 by shuffles."""
+    operator: the iterated bar construction over the augmentation ideal of
+    F2[pi] (Eilenberg-Mac Lane; Mac Lane, Homology, ch. X).  Each cell is
+    read once as a bar word n deep: a level-0 letter is a label g, standing
+    for x_g = g - e, and a level-k word the tuple of its root branches'
+    level-(k-1) words.  There are no end faces: a face lies inside one
+    letter, or merges two adjacent letters by the level-(k-1) product,
+    x_g x_h = x_{g+h} + x_g + x_h with x_e = 0 at level 0 (zero for Z/2, so
+    no level-1 word has a boundary) and shuffles mod 2 above it."""
     if dim_bound < 0:
         raise ValueError(f"dimension bound {dim_bound} is negative")
-    neutral = pi.neutral
+    letters = pi.non_neutral()
+    ideal: dict[tuple, tuple] = {}  # x_g x_h: its odd terms, without x_e = 0
+    for g, h in itertools.product(letters, repeat=2):
+        terms = (pi.add(g, h), g, h)
+        ideal[g, h] = tuple(x for x in set(terms) if x in letters and terms.count(x) % 2)
     shared: dict[tuple, tuple] = {}  # one copy of each sub-word
 
     def word(k: int, tree: LevelTree, labels: Iterator) -> tuple:
@@ -253,16 +250,17 @@ def em_chains(pi: FiniteAbelianGroup, n: int, dim_bound: int) -> F2ChainComplex:
         w = tuple(word(k - 1, c, labels) for c in tree.children)
         return shared.setdefault(w, w)
 
-    def faces(k: int, w: tuple) -> Iterator[tuple]:
-        if k == 1:
-            yield from (face for face in _bar_faces(w, pi.add) if neutral not in face)
+    def product(k: int, u, v) -> tuple:
+        return shuffles(u, v) if k else ideal[u, v]
+
+    def faces(k: int, w) -> Iterator[tuple]:
+        if k == 0:  # x_g has no face
             return
         for j, letter in enumerate(w):
             for face in faces(k - 1, letter):
-                if face:
-                    yield w[:j] + (face,) + w[j + 1 :]
+                yield w[:j] + (face,) + w[j + 1 :]
         for j in range(len(w) - 1):
-            for merged in shuffles(w[j], w[j + 1]):
+            for merged in product(k - 1, w[j], w[j + 1]):
                 yield w[:j] + (merged,) + w[j + 2 :]
 
     basis = [em_cells(pi, n, d) for d in range(dim_bound + 1)]

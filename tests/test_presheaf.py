@@ -8,7 +8,6 @@ from thetacomb.gamma import parse_group
 from thetacomb.presheaf import (
     BoundarySquareError,
     FiniteThetaSet,
-    _bar_faces,
     _f2_chains,
     cell_census,
     chain_complex,
@@ -164,7 +163,8 @@ def test_em_fast_paths_match_generic_walk(spec, n, bound):
 @pytest.mark.parametrize(
     "spec, n, bound",
     [("z2", 1, 7), ("z3", 1, 6), ("z2", 2, 9), ("z3", 2, 6), ("z4", 2, 5),
-     ("z2xz2", 2, 5), ("z2", 3, 10), ("z3", 3, 7), ("z2", 4, 10)],
+     ("z2xz2", 2, 5), ("z2", 3, 10), ("z3", 3, 7), ("z2", 4, 10), ("z5", 1, 5),
+     ("z6", 1, 4), ("z6", 2, 5)],
 )
 def test_em_chains_match_theta_set_chains(spec, n, bound):
     # the labelled-tree boundary is the Theta_n-set boundary, matrix for matrix
@@ -172,6 +172,23 @@ def test_em_chains_match_theta_set_chains(spec, n, bound):
     bar, theta = em_chains(pi, n, bound), chain_complex(em_set(pi, n), bound)
     assert bar.basis == theta.basis
     assert bar.boundary == theta.boundary
+
+
+@pytest.mark.parametrize(
+    "n, bound, entries", [(1, 8, 0), (2, 11, 116), (3, 11, 254), (4, 11, 144)]
+)
+def test_z2_em_chains_keep_the_weight(n, bound, entries):
+    # no face of a K(Z/2,n) cell changes its number of labels, so the
+    # chains are the direct sum of their blocks of one weight
+    c = em_chains(Z2, n, bound)
+    found = 0
+    for d in range(1, bound + 1):
+        for row, (_, labels) in zip(c.boundary[d], c.basis[d]):
+            for i in range(row.bit_length()):
+                if row >> i & 1:
+                    assert len(c.basis[d - 1][i][1]) == len(labels)
+                    found += 1
+    assert found == entries
 
 
 def test_product_census():
@@ -307,6 +324,15 @@ def _addition_table(pi):
     """pi.add on the codes 0..|pi|-1 of pi.elements(); the neutral is 0."""
     code = {x: i for i, x in enumerate(pi.elements())}
     return [[code[pi.add(x, y)] for y in code] for x in code]
+
+
+def _bar_faces(x, add):
+    """The faces of a k-simplex [x_1|...|x_k] of a nerve: drop x_1, merge
+    x_i and x_{i+1} by add, drop x_k."""
+    yield x[1:]
+    for i in range(1, len(x)):
+        yield x[: i - 1] + (add(x[i - 1], x[i]),) + x[i + 1 :]
+    yield x[:-1]
 
 
 def reference_double_nerve_chains(pi, dim_bound):

@@ -1,10 +1,12 @@
 """Static checks on the package source, with the standard library only."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
 import thetacomb
+from thetacomb import presheaf
 
 PACKAGE_DIR = Path(thetacomb.__file__).resolve().parent
 TESTS_DIR = Path(__file__).resolve().parent
@@ -142,16 +144,17 @@ def test_every_memo_is_functools_cache():
         assert found == [], path.name
 
 
-def level_1_forks(source: str) -> list[int]:
-    """The lines that compare n or an attribute .level with the constant 1,
-    the shape of a branch that gives level 1 its own code path."""
+def level_1_forks(source: str, name: str = "n") -> list[int]:
+    """The lines that compare the level variable name or an attribute
+    .level with the constant 1, the shape of a branch that gives level 1
+    its own code path."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Compare):
             continue
         operands = [node.left, *node.comparators]
         levels = any(
-            isinstance(x, ast.Name) and x.id == "n"
+            isinstance(x, ast.Name) and x.id == name
             or isinstance(x, ast.Attribute) and x.attr == "level"
             for x in operands
         )
@@ -167,8 +170,15 @@ def test_level_1_forks_are_found():
         "if n == 0 or m == 1: pass\nk = n - 1\nif g.level != f.level: pass\n"
     )
     assert level_1_forks(source) == [1, 2, 3]
+    source = "if k == 1: pass\nif n == 1: pass\nif k > 0: pass\nif 1 != f.level: pass\n"
+    assert level_1_forks(source, "k") == [1, 4]
 
 
 def test_theta_has_no_level_1_fork():
     # every level recurses down to the point Theta_0 the same way
     assert level_1_forks((PACKAGE_DIR / "theta.py").read_text()) == []
+
+
+def test_em_chains_has_no_level_1_fork():
+    # the bar recursion ends at the augmentation ideal, level 0
+    assert level_1_forks(inspect.getsource(presheaf.em_chains), "k") == []
