@@ -9,20 +9,15 @@ no module.  The submodules themselves are exported too."""
 from importlib import import_module
 
 _EXPORTS = {
-    "counting": ("RationalGF", "euler_char", "fib_numbers", "gf_coefficients",
-                 "gf_em", "gf_fib"),
+    "counting": ("RationalGF", "euler_char", "fib_numbers", "gf_coefficients", "gf_em"),
     "gamma": ("FiniteAbelianGroup", "GammaOperator", "compose_gamma", "h_pi_act",
               "hom_gamma", "identity_gamma", "parse_group"),
-    "presheaf": ("F2ChainComplex", "FiniteThetaSet", "cell_census", "chain_complex",
-                 "em_set", "homology_f2", "is_nondegenerate", "oracle_multisimplicial",
-                 "product_set"),
-    "simplex": ("DeltaClass", "SimplicialOperator", "classify_delta", "compose_delta",
-                "factor_epi_mono", "hom_delta", "identity_delta", "segal_gamma"),
-    "theta": ("ThetaOperator", "classify_theta", "compose_theta", "diagonal",
-              "dim_theta", "embed", "gamma_n", "hom_theta", "identity_theta",
+    "presheaf": ("F2ChainComplex", "FiniteThetaSet", "chain_complex", "em_set",
+                 "homology_f2", "is_nondegenerate", "oracle_multisimplicial"),
+    "simplex": ("SimplicialOperator", "compose_delta", "hom_delta", "identity_delta"),
+    "theta": ("ThetaOperator", "compose_theta", "gamma_n", "hom_theta", "identity_theta",
               "is_face", "is_retraction", "reedy_factor", "suspend"),
-    "trees": ("LevelTree", "NGraph", "corolla", "enumerate_pruned", "enumerate_trees",
-              "linear_tree", "parse_tree", "star", "vertices_at_height"),
+    "trees": ("LevelTree", "enumerate_pruned", "enumerate_trees"),
 }
 # public name -> the module defining it; a submodule is its own home
 _HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}

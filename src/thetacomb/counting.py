@@ -82,13 +82,6 @@ def fib_numbers(n: int, p: int, count: int) -> list[int]:
     return out
 
 
-def gf_fib(n: int, p: int) -> RationalGF:
-    """f_{n,pi}(t) = (p-1) / (1 - (p-1)(t + t^2 + ... + t^n))."""
-    if n < 1 or p < 2:
-        raise ValueError("need n >= 1 and p >= 2")
-    return RationalGF((p - 1,), (1,) + (-(p - 1),) * n)
-
-
 def gf_em(n: int, p: int) -> RationalGF:
     """The cell-count generating function of K(pi,n):
     (1 - (p-1)(t + ... + t^{n-1})) / (1 - (p-1)(t + ... + t^n))."""

@@ -3,57 +3,44 @@
 The central object is the reduced Eilenberg-MacLane Theta_n-set
 K(pi,n) = gamma_n^*(H pi): a tree evaluates to labelings of its height-n
 vertices by elements of pi, operators act through gamma_n and subset
-sums.  Also here: products of representables, the non-degeneracy test,
-cell censuses, mod-2 cellular chains with homology (for K(pi,n) also
-built by em_chains, the iterated bar construction over the augmentation
-ideal of F2[pi] run on each labelled pruned tree read as a bar word n
-deep, with chain_complex's Theta operators as the oracle), and an
-independent oracle for the homology at every level: Serre's Poincare
-series of K(pi,n) over F2.
+sums.  Also here: the non-degeneracy test, mod-2 cellular chains on the
+non-degenerate cells with homology (for K(pi,n) also built by em_chains,
+the iterated bar construction over the augmentation ideal of F2[pi] run
+on each labelled pruned tree read as a bar word n deep, with
+chain_complex's Theta operators as the oracle), and an independent
+oracle for the homology at every level: Serre's Poincare series of
+K(pi,n) over F2.
 
 The cells of K(pi,n) and their count (em_cells, em_cell_count) and its
 chains (em_chains) need no Theta operator, so the module does not load
-theta: the functions that act with operators (em_set, product_set,
-is_nondegenerate, chain_complex) import what they use of it when they
-are called.
+theta: the functions that act with operators (em_set, is_nondegenerate,
+chain_complex) import what they use of it when they are called.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .gamma import FiniteAbelianGroup, h_pi_act
-from .trees import (
-    LEAF, LevelTree, count_at_height, enumerate_pruned, enumerate_trees, iter_forests
-)
+from .trees import LEAF, LevelTree, count_at_height, enumerate_pruned, iter_forests
 
 if TYPE_CHECKING:
     from .theta import ThetaOperator
 
 
 class FiniteThetaSet:
-    """Lazy presheaf on Theta_n: eval lists the elements over a tree and
-    act(f, x) pulls x back along the operator f.
+    """Lazy presheaf on Theta_n: act(f, x) pulls the element x back along
+    the operator f, and cells(d) lists the non-degenerate cells over trees
+    with d edges as (tree, element) pairs, trees in render order, the
+    basis of chain_complex in degree d."""
 
-    The optional fast path nondeg_cells(d) lists the non-degenerate cells
-    over trees with d edges as (tree, element) pairs, trees in render
-    order.  It owns the shape list, so it need only visit the shapes that
-    can hold a non-degenerate cell.  Without it, the census and the chains
-    test every element over every tree of height <= n."""
+    __slots__ = ("level", "act", "cells")
 
-    __slots__ = ("level", "eval", "act", "nondeg_cells")
-
-    def __init__(
-        self,
-        level: int,
-        eval: Callable[[LevelTree], list],
-        act: Callable[[ThetaOperator, object], object],
-        nondeg_cells: Optional[Callable[[int], list]] = None,
-    ):
-        self.level, self.eval, self.act = level, eval, act
-        self.nondeg_cells = nondeg_cells
+    def __init__(self, level: int, act: Callable[[ThetaOperator, object], object],
+                 cells: Callable[[int], list]):
+        self.level, self.act, self.cells = level, act, cells
 
 
 def _check_level(n: int) -> None:
@@ -88,38 +75,17 @@ def em_cell_count(pi: FiniteAbelianGroup, n: int, d: int) -> int:
 
 
 def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:
-    """The Eilenberg-MacLane Theta_n-set K(pi,n).  Its fast path is
-    em_cells, which lists only the shapes that carry a non-degenerate
-    cell: the leaf in degree 0 and the pruned n-trees in degree d >= 1.
-    Count them with em_cell_count."""
+    """The Eilenberg-MacLane Theta_n-set K(pi,n): an element over a tree
+    labels its height-n vertices by elements of pi, and an operator acts
+    through gamma_n.  Its cells are em_cells, the point and the labelled
+    pruned n-trees; em_cell_count counts them."""
     _check_level(n)
     from .theta import gamma_n
-
-    def eval_tree(tree: LevelTree) -> list:
-        k = count_at_height(tree, n)
-        return list(itertools.product(pi.elements(), repeat=k))
 
     def action(f: ThetaOperator, x):
         return h_pi_act(pi, gamma_n(f), x)
 
-    return FiniteThetaSet(n, eval_tree, action, functools.partial(em_cells, pi, n))
-
-
-def product_set(s: LevelTree, t: LevelTree, n: int) -> FiniteThetaSet:
-    """The product of representables Theta_n[S] x Theta_n[T]: elements over
-    U are pairs of operators U -> S, U -> T acting by precomposition."""
-    from .theta import compose_theta, hom_theta
-
-    def eval_tree(tree: LevelTree) -> list:
-        return list(
-            itertools.product(hom_theta(tree, s, n), hom_theta(tree, t, n))
-        )
-
-    def action(f: ThetaOperator, x):
-        a, b = x
-        return (compose_theta(a, f), compose_theta(b, f))
-
-    return FiniteThetaSet(n, eval_tree, action)
+    return FiniteThetaSet(n, action, functools.partial(em_cells, pi, n))
 
 
 def is_nondegenerate(x_set: FiniteThetaSet, tree: LevelTree, x) -> bool:
@@ -128,26 +94,6 @@ def is_nondegenerate(x_set: FiniteThetaSet, tree: LevelTree, x) -> bool:
     from .theta import degenerate_along
 
     return not any(degenerate_along(tree, x_set.level, x_set.act, x))
-
-
-def _nondeg_layer(x_set: FiniteThetaSet, d: int) -> list:
-    """The non-degenerate cells over trees with d edges, as (tree, element)
-    pairs."""
-    if x_set.nondeg_cells is not None:
-        return x_set.nondeg_cells(d)
-    return [
-        (tree, x)
-        for tree in enumerate_trees(x_set.level, d)
-        for x in x_set.eval(tree)
-        if is_nondegenerate(x_set, tree, x)
-    ]
-
-
-def cell_census(x_set: FiniteThetaSet, dim_bound: int) -> dict[int, int]:
-    """Count of non-degenerate cells per dimension 0..dim_bound, the
-    lengths of the cell layers that chain_complex takes as its basis.
-    K(pi,n) is counted without listing by em_cell_count."""
-    return {d: len(_nondeg_layer(x_set, d)) for d in range(dim_bound + 1)}
 
 
 # --- mod-2 cellular chains --------------------------------------------
@@ -212,7 +158,7 @@ def chain_complex(x_set: FiniteThetaSet, dim_bound: int) -> F2ChainComplex:
     from .theta import codim1_faces
 
     n = x_set.level
-    basis = [_nondeg_layer(x_set, d) for d in range(dim_bound + 1)]
+    basis = [x_set.cells(d) for d in range(dim_bound + 1)]
 
     def faces(d: int, cell: tuple[LevelTree, object]) -> Iterator:
         tree, x = cell
@@ -325,8 +271,7 @@ def oracle_multisimplicial(
     excess 2 i_1 - |I| below n.  By Kunneth the series of pi is the
     product over its cyclic factors: one of even order has the series of
     Z/2, one of odd order is F2-acyclic."""
-    if n < 1:
-        raise ValueError("level n must be >= 1")
+    _check_level(n)
     betti = [int(d == 0) for d in range(dim_bound)]
     # admissible I as (i_1, |I|), grown at the front; the excess never falls
     stack = [(0, 0)]

@@ -2,11 +2,9 @@
 
 Monotone operators between finite ordinals [m] = {0 < 1 < ... < m},
 stored as full value lists and hash-consed (hashcons.HashConsed): one
-object per operator, so equality is identity.  Provides composition,
-memoised because Theta_n composes the same few pairs of phi's over and
-over; epi-mono factorization, the face/degeneracy taxonomy with
-inner/outer flags, hom enumeration, and Segal's functor gamma: Delta ->
-Gamma.
+object per operator, so equality is identity.  Provides identities,
+composition, memoised because Theta_n composes the same few pairs of
+phi's over and over, and hom enumeration.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .gamma import GammaOperator
 from .hashcons import HashConsed, intern
 
 
@@ -84,49 +81,6 @@ def compose_delta(
     )
 
 
-def factor_epi_mono(
-    f: SimplicialOperator,
-) -> tuple[SimplicialOperator, SimplicialOperator]:
-    """The unique factorization f = mono . epi."""
-    image = sorted(set(f.values))
-    rank = {v: r for r, v in enumerate(image)}
-    epi = SimplicialOperator(
-        f.source, len(image) - 1, tuple(rank[v] for v in f.values)
-    )
-    mono = SimplicialOperator(len(image) - 1, f.target, tuple(image))
-    return epi, mono
-
-
-class DeltaClass(HashConsed):
-    """What classify_delta reads off: kind is "iso", "face", "degeneracy"
-    or "mixed", with the inner and outer flags."""
-
-    __slots__ = _fields = ("kind", "inner", "outer")
-
-    def __new__(cls, kind: str, inner: bool, outer: bool):
-        return intern(cls, kind, inner, outer)
-
-
-def classify_delta(f: SimplicialOperator) -> DeltaClass:
-    """Taxonomy of a Delta operator.
-
-    face = injective non-identity, degeneracy = surjective non-identity;
-    the inner flag holds iff endpoints are preserved (f(0)=0, f(m)=n) and
-    the outer flag iff consecutive values step by exactly 1.
-    """
-    if f.is_identity:
-        kind = "iso"
-    elif f.is_injective:
-        kind = "face"
-    elif f.is_surjective:
-        kind = "degeneracy"
-    else:
-        kind = "mixed"
-    inner = f(0) == 0 and f(f.source) == f.target
-    outer = all(b - a == 1 for a, b in zip(f.values, f.values[1:]))
-    return DeltaClass(kind, inner, outer)
-
-
 def hom_delta(m: int, n: int) -> list[SimplicialOperator]:
     """All monotone maps [m] -> [n], in lexicographic order of value lists."""
     return [
@@ -136,11 +90,3 @@ def hom_delta(m: int, n: int) -> list[SimplicialOperator]:
         )
     ]
 
-
-def segal_gamma(f: SimplicialOperator) -> GammaOperator:
-    """Segal's functor gamma: [m] goes to m_bar and the i-th subset of
-    gamma(f) is the half-open block {j | f(i-1) < j <= f(i)}."""
-    subsets = tuple(
-        tuple(range(f(i - 1) + 1, f(i) + 1)) for i in range(1, f.source + 1)
-    )
-    return GammaOperator(f.source, f.target, subsets)

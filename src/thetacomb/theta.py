@@ -15,10 +15,10 @@ tree is taller than n.
 
 Provides composition (the components through a memo of Theta_{n-1}'s
 composition, the top level unmemoised), identities, hom enumeration,
-the retraction / monomorphism taxonomy with Reedy factorization, the
+the retraction and monomorphism tests with Reedy factorization, the
 codimension-1 faces into a tree generated from the wreath structure
 (which the cellular boundary uses), the assembly functor gamma_n to
-Gamma, suspension, level embedding and the multi-simplicial diagonal.
+Gamma and suspension.
 
 One mechanism, peel, splits an element of a Theta_n-set into a
 degeneracy of its non-degenerate core (Eilenberg-Zilber).  The Reedy
@@ -32,13 +32,7 @@ from itertools import accumulate, combinations, product
 from typing import Callable, Iterator
 
 from .gamma import GammaOperator, identity_gamma
-from .simplex import (
-    SimplicialOperator,
-    classify_delta,
-    compose_delta,
-    hom_delta,
-    identity_delta,
-)
+from .simplex import SimplicialOperator, compose_delta, hom_delta, identity_delta
 from .hashcons import HashConsed, intern
 from .trees import LEAF, LevelTree, count_at_height
 
@@ -345,38 +339,6 @@ def reedy_factor(f: ThetaOperator) -> tuple[ThetaOperator, ThetaOperator]:
     return degeneracy, face
 
 
-def _preserves_endpoints(f: ThetaOperator) -> bool:
-    # endpoint preservation is checked blockwise all the way down; a
-    # single projection may collapse (e.g. globe onto a whiskered
-    # composite) as long as the operator as a whole is monic
-    return _every_level(f, lambda g: classify_delta(g.phi).inner)
-
-
-def _is_outer_face(f: ThetaOperator) -> bool:
-    return _every_level(f, lambda g: classify_delta(g.phi).outer)
-
-
-def classify_theta(f: ThetaOperator) -> str:
-    """One of identity, degeneracy, inner-face, outer-face, mixed."""
-    if f.is_identity:
-        return "identity"
-    degeneracy, face = reedy_factor(f)
-    if face.is_identity:
-        return "degeneracy"
-    if degeneracy.is_identity:
-        if _preserves_endpoints(f):
-            return "inner-face"
-        if _is_outer_face(f):
-            return "outer-face"
-    return "mixed"
-
-
-def dim_theta(tree: LevelTree) -> int:
-    """Dimension of a tree-shaped cell: its edge count, equal to the
-    recursive wreath formula m + sum of child dimensions."""
-    return tree.edges
-
-
 # --- functors ----------------------------------------------------------
 
 
@@ -411,23 +373,3 @@ def suspend(f: ThetaOperator) -> ThetaOperator:
         ((f,),),
     )
 
-
-def embed(f: ThetaOperator) -> ThetaOperator:
-    """The full embedding Theta_n -> Theta_{n+1}: same trees and phi, with
-    components reinterpreted one level up."""
-    rows = tuple(tuple(embed(c) for c in row) for row in f.components)
-    return ThetaOperator(f.level + 1, f.source, f.target, f.phi, rows)
-
-
-def diagonal(fs: list[SimplicialOperator]) -> ThetaOperator:
-    """The diagonal functor delta_n: Delta^n -> Theta_n on a tuple of
-    simplicial operators: phi is the first and every block slot repeats
-    the diagonal of the rest, the point after the last."""
-    if not fs:
-        raise ValueError("diagonal needs at least one operator")
-    head = fs[0]
-    rest = diagonal(fs[1:]) if fs[1:] else identity_theta(LEAF, 0)
-    src = LevelTree((rest.source,) * head.source)
-    tgt = LevelTree((rest.target,) * head.target)
-    rows = tuple((rest,) * (b - a) for a, b in zip(head.values, head.values[1:]))
-    return ThetaOperator(len(fs), src, tgt, head, rows)

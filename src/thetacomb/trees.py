@@ -3,8 +3,8 @@
 A level-tree is a finite planar rooted tree; vertices are graded by their
 edge-distance from the root.  Trees of height <= n are the cell shapes used
 throughout the rest of the library.  This module provides the data
-structure, a bracket-string encoding, enumeration of all trees or only
-the pruned ones, and the star construction producing globular n-graphs.
+structure, its bracket-string rendering, and enumeration of all trees
+or only the pruned ones.
 
 Trees are hash-consed (hashcons.HashConsed): there is one LevelTree
 object per shape, kept in the table _SHAPES, so tree equality is
@@ -21,15 +21,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from .hashcons import HashConsed
-
-
-class TreeParseError(ValueError):
-    """Malformed bracket string; carries the offending position."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
 
 # children tuple -> the one LevelTree with those children
 _SHAPES: dict[tuple, "LevelTree"] = {}
@@ -83,65 +74,6 @@ def render_forest(children: tuple[LevelTree, ...]) -> str:
 
 
 LEAF = LevelTree()
-
-
-def parse_tree(text: str) -> LevelTree:
-    """Parse the bracket encoding, e.g. "[[],[[]]]".  Whitespace is ignored."""
-    stripped = [(i, ch) for i, ch in enumerate(text) if not ch.isspace()]
-    pos = 0
-
-    def parse_one() -> LevelTree:
-        nonlocal pos
-        if pos >= len(stripped) or stripped[pos][1] != "[":
-            where = stripped[pos][0] if pos < len(stripped) else len(text)
-            raise TreeParseError("expected '['", where)
-        pos += 1
-        children = []
-        while True:
-            if pos >= len(stripped):
-                raise TreeParseError("unclosed '['", len(text))
-            ch = stripped[pos][1]
-            if ch == "]":
-                pos += 1
-                return LevelTree(tuple(children))
-            if children:
-                if ch != ",":
-                    raise TreeParseError("expected ',' or ']'", stripped[pos][0])
-                pos += 1
-            children.append(parse_one())
-
-    tree = parse_one()
-    if pos != len(stripped):
-        raise TreeParseError("trailing input", stripped[pos][0])
-    return tree
-
-
-def linear_tree(n: int) -> LevelTree:
-    """The linear tree with one vertex at each height 0..n."""
-    if n < 0:
-        raise ValueError(f"linear tree height {n} is negative")
-    t = LEAF
-    for _ in range(n):
-        t = LevelTree((t,))
-    return t
-
-
-def corolla(m: int) -> LevelTree:
-    """Height <= 1 tree with m leaves attached to the root."""
-    if m < 0:
-        raise ValueError(f"corolla leaf count {m} is negative")
-    return LevelTree((LEAF,) * m)
-
-
-def vertices_at_height(tree: LevelTree, h: int) -> list[tuple[int, ...]]:
-    """Root-paths (1-based child indices) of the vertices at exact height h,
-    in left-to-right planar order."""
-    if h == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-    for i, child in enumerate(tree.children, start=1):
-        out.extend((i,) + p for p in vertices_at_height(child, h - 1))
-    return out
 
 
 def count_at_height(tree: LevelTree, h: int) -> int:
@@ -221,51 +153,3 @@ def enumerate_pruned(n: int, e: int) -> list[LevelTree]:
     the same order."""
     return list(iter_trees(n, e, pruned=True))
 
-
-# --- star construction -------------------------------------------------
-
-CellId = tuple[int, ...]
-
-
-class NGraph:
-    """Graded sets of cells with source/target maps satisfying the globular
-    identities.  Cell ids are root-paths ending in a sector index."""
-
-    __slots__ = ("cells", "source", "target")
-
-    def __init__(self, cells: tuple[tuple[CellId, ...], ...],
-                 source: dict[CellId, CellId], target: dict[CellId, CellId]):
-        self.cells, self.source, self.target = cells, source, target
-
-    @property
-    def dimension(self) -> int:
-        return len(self.cells) - 1
-
-
-def star(tree: LevelTree, n: int) -> NGraph:
-    """Batanin's star construction: the n-graph T_* generated by the tree.
-
-    A vertex at height k with m children contributes its m+1 sectors as
-    k-cells; the sectors of a child vertex are bounded by the two sectors
-    of the parent adjacent to the connecting edge.
-    """
-    if tree.height > n:
-        raise ValueError(f"tree height {tree.height} exceeds bound {n}")
-    cells: list[list[CellId]] = [[] for _ in range(n + 1)]
-    source: dict[CellId, CellId] = {}
-    target: dict[CellId, CellId] = {}
-
-    def build(t: LevelTree, prefix: CellId, dim: int,
-              bounds: tuple[CellId, CellId] | None) -> None:
-        sectors = [prefix + (j,) for j in range(len(t.children) + 1)]
-        cells[dim].extend(sectors)
-        if bounds is not None:
-            for s in sectors:
-                source[s] = bounds[0]
-                target[s] = bounds[1]
-        for i, child in enumerate(t.children, start=1):
-            build(child, prefix + (i,), dim + 1,
-                  (prefix + (i - 1,), prefix + (i,)))
-
-    build(tree, (), 0, None)
-    return NGraph(tuple(tuple(layer) for layer in cells), source, target)

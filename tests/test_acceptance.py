@@ -21,25 +21,24 @@ from thetacomb.cli import main
 from thetacomb.counting import euler_char, fib_numbers, gf_coefficients, gf_em
 from thetacomb.gamma import FiniteAbelianGroup, parse_group
 from thetacomb.presheaf import (
-    cell_census,
     chain_complex,
     em_cell_count,
     em_set,
     homology_f2,
     oracle_multisimplicial,
-    product_set,
 )
 from thetacomb import verify
 from thetacomb.theta import (
     compose_theta,
-    dim_theta,
     gamma_n,
     hom_theta,
     is_retraction,
     reedy_factor,
 )
-from thetacomb.trees import corolla, enumerate_trees
+from thetacomb.trees import enumerate_trees
 from thetacomb.verify import SUITES, run_suites, sample_trees
+
+from oracles import corolla, product_set
 
 THETA2_SUITES = ["wreath-laws", "factorization", "gamma-functor"]
 PACKAGE_PATH = str(Path(thetacomb.__file__).resolve().parent.parent)
@@ -104,8 +103,8 @@ def test_criterion_05_shuffle_counts(capsys):
         for n in range(7 - m):
             if m + n == 0:
                 continue
-            census = cell_census(product_set(corolla(m), corolla(n), 1), m + n)
-            assert census[m + n] == math.comb(m + n, m)
+            top = product_set(corolla(m), corolla(n), 1).cells(m + n)
+            assert len(top) == math.comb(m + n, m)
     with capsys.disabled():
         _report(5, "top cells of Delta[m] x Delta[n] are the (m+n choose m) shuffles, m+n <= 6", started, 30)
 
@@ -137,7 +136,7 @@ def test_criterion_08_dimension_law(capsys):
     for n in range(1, 5):
         for e in range(9):
             for t in enumerate_trees(n, e):
-                assert dim_theta(t) == e == wreath_dim(t)
+                assert t.edges == e == wreath_dim(t)
     with capsys.disabled():
         _report(8, "dim(T) = edge count = wreath formula, all trees <= 8 edges, n <= 4", started, 5)
 
@@ -167,11 +166,13 @@ def test_criterion_10_boundary_squares_to_zero(capsys):
         _report(10, "boundary-squared-is-zero assertion holds in every constructed complex", started, 300)
 
 
-def serre_betti_z2(n, top):
-    """F2 Betti numbers of K(Z/2,n) in degrees 0..top-1 from Serre's theorem:
-    the cohomology is polynomial on Sq^I iota_n, one generator of degree
-    n+|I| for each admissible I (i_k >= 2 i_{k+1}, i_r >= 1, I empty
-    allowed) of excess i_1 - i_2 - ... - i_r below n."""
+def serre_bigraded_z2(n, top):
+    """F2 Betti numbers of K(Z/2,n) by degree 0..top-1 and weight 0..top-1,
+    betti[degree][weight], from Serre's theorem: the cohomology is
+    polynomial on Sq^I iota_n, one generator of degree n+|I| and weight
+    2^l(I), l(I) the length of I, for each admissible I (i_k >= 2 i_{k+1},
+    i_r >= 1, I empty allowed) of excess i_1 - i_2 - ... - i_r below n.
+    No weight exceeds its degree."""
     generators = []
     stack = [()]
     while stack:
@@ -180,13 +181,20 @@ def serre_betti_z2(n, top):
         if degree >= top:
             continue
         if not seq or 2 * seq[0] - sum(seq) < n:
-            generators.append(degree)
+            generators.append((degree, 2 ** len(seq)))
         stack.extend((i,) + seq for i in range(2 * seq[0] if seq else 1, top - degree))
-    betti = [1] + [0] * (top - 1)
-    for d in generators:  # multiply by 1 / (1 - t^d)
+    betti = [[int(k == v == 0) for v in range(top)] for k in range(top)]
+    for d, w in generators:  # multiply by 1 / (1 - t^d s^w)
         for k in range(d, top):
-            betti[k] += betti[k - d]
+            for v in range(w, top):
+                betti[k][v] += betti[k - d][v - w]
     return betti
+
+
+def serre_betti_z2(n, top):
+    """F2 Betti numbers of K(Z/2,n) in degrees 0..top-1 from Serre's theorem,
+    the sums over weights of serre_bigraded_z2."""
+    return [sum(row) for row in serre_bigraded_z2(n, top)]
 
 
 def test_criterion_11_homology_vs_serre(capsys):

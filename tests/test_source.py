@@ -182,3 +182,60 @@ def test_theta_has_no_level_1_fork():
 def test_em_chains_has_no_level_1_fork():
     # the bar recursion ends at the augmentation ideal, level 0
     assert level_1_forks(inspect.getsource(presheaf.em_chains), "k") == []
+
+
+def unreached_definitions(sources: dict[str, str], roots: list[str]) -> list[str]:
+    """The module-level definitions, as module.name, that no walk by name
+    from the roots reaches; sources maps each module's name to its source.
+    A definition reaches every definition, in any module, whose name its
+    statement mentions as an identifier or an attribute: a class's bases,
+    a decorator and a lambda in a table included.  An import is no mention."""
+    defs = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [target.id for target in nodes if isinstance(target, ast.Name)]
+            else:
+                continue
+            defs.update((f"{module}.{name}", node) for name in targets)
+    homes: dict[str, list[str]] = {}
+    for qualified in defs:
+        homes.setdefault(qualified.split(".", 1)[1], []).append(qualified)
+    reached, todo = set(roots), list(roots)
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            for qualified in homes.get(name, ()):
+                if qualified not in reached:
+                    reached.add(qualified)
+                    todo.append(qualified)
+    return sorted(defs.keys() - reached)
+
+
+def test_unreached_definitions_are_found():
+    sources = {
+        "a": "import b\nLIMIT = 3\ndef main():\n    return b.helper(LIMIT)\n"
+             "def spare():\n    return main\n",
+        "b": "class Base: pass\nclass Kid(Base): pass\nTABLE = {'k': lambda: Kid()}\n"
+             "def helper(x):\n    return TABLE\nX: int = 0\ndef lone(): pass\n",
+    }
+    assert unreached_definitions(sources, ["a.main"]) == ["a.spare", "b.X", "b.lone"]
+
+
+def test_every_definition_is_reached_by_a_command():
+    # src/ holds only what a command or a verify suite runs; oracles and
+    # fixtures that only the tests use live in tests/oracles.py, and
+    # __init__.py only re-exports names
+    sources = {
+        path.stem: path.read_text()
+        for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "__init__.py"
+    }
+    assert unreached_definitions(sources, ["cli.main", "cli.console_main"]) == []

@@ -16,7 +16,6 @@ from thetacomb.simplex import (
     compose_delta,
     hom_delta,
     identity_delta,
-    segal_gamma,
 )
 from thetacomb.theta import (
     ThetaCompositionError,
@@ -25,13 +24,9 @@ from thetacomb.theta import (
     _compose_component,
     _shuffle_pairs,
     bang,
-    classify_theta,
     codim1_faces,
     codim1_retractions,
     compose_theta,
-    diagonal,
-    dim_theta,
-    embed,
     gamma_n,
     hom_theta,
     identity_theta,
@@ -40,17 +35,21 @@ from thetacomb.theta import (
     reedy_factor,
     suspend,
 )
-from thetacomb.trees import (
-    LEAF,
-    LevelTree,
-    corolla,
-    enumerate_trees,
-    linear_tree,
-    parse_tree,
-)
+from thetacomb.trees import LEAF, LevelTree, enumerate_trees
 from thetacomb.verify import composition_table, sample_trees
 
-from test_startup import PACKAGE_PATH
+from oracles import (
+    _is_outer_face,
+    _preserves_endpoints,
+    classify_theta,
+    corolla,
+    diagonal,
+    embed,
+    linear_tree,
+    parse_tree,
+    segal_gamma,
+)
+from test_startup import PACKAGE_PATH, TESTS_PATH
 
 
 POINT = identity_theta(LEAF, 0)
@@ -187,7 +186,7 @@ def test_init_can_be_wrapped_to_count_constructions(monkeypatch):
 BUILT_ONCE = """
 import sys
 from thetacomb.theta import ThetaOperator, compose_theta, hom_theta
-from thetacomb.trees import parse_tree
+from oracles import parse_tree
 
 s, t, u = map(parse_tree, sys.argv[1:])
 pairs = [(g, f) for f in hom_theta(s, t, 2) for g in hom_theta(t, u, 2)]
@@ -214,7 +213,7 @@ def test_each_new_composite_is_built_once():
     result = subprocess.run(
         [sys.executable, "-c", BUILT_ONCE, "[[[]],[]]", "[[[],[]]]", "[[[]],[[]]]"],
         capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([PACKAGE_PATH, TESTS_PATH])},
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["297", "26", "26", "26", "True"]
@@ -533,10 +532,10 @@ def test_faces_factor_inner_after_outer():
         pair: [f for f in ops if is_face(f)] for pair, ops in homs.items()
     }
     inner_cache = {
-        pair: [f for f in ops if _inner(f)] for pair, ops in face_cache.items()
+        pair: [f for f in ops if _preserves_endpoints(f)] for pair, ops in face_cache.items()
     }
     outer_cache = {
-        pair: [f for f in ops if _outer(f)] for pair, ops in face_cache.items()
+        pair: [f for f in ops if _is_outer_face(f)] for pair, ops in face_cache.items()
     }
     for (s, t), faces in face_cache.items():
         for f in faces:
@@ -549,22 +548,11 @@ def test_faces_factor_inner_after_outer():
             assert found == 1, f
 
 
-def _inner(f):
-    from thetacomb.theta import _preserves_endpoints
-
-    return _preserves_endpoints(f)
-
-
-def _outer(f):
-    from thetacomb.theta import _is_outer_face
-
-    return _is_outer_face(f)
-
-
 def test_dim_theta():
-    assert dim_theta(linear_tree(4)) == 4
-    assert dim_theta(LEAF) == 0
-    assert dim_theta(corolla(3)) == 3
+    # the dimension of a tree-shaped cell is its edge count
+    assert linear_tree(4).edges == 4
+    assert LEAF.edges == 0
+    assert corolla(3).edges == 3
 
     def wreath_dim(t):
         return len(t.children) + sum(wreath_dim(c) for c in t.children)
@@ -572,7 +560,7 @@ def test_dim_theta():
     for n in range(1, 5):
         for e in range(9):
             for t in enumerate_trees(n, e):
-                assert dim_theta(t) == e == wreath_dim(t)
+                assert t.edges == e == wreath_dim(t)
 
 
 def test_gamma_n_examples():
