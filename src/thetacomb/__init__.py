@@ -12,8 +12,9 @@ _EXPORTS = {
     "counting": ("RationalGF", "euler_char", "fib_numbers", "gf_coefficients", "gf_em"),
     "gamma": ("FiniteAbelianGroup", "GammaOperator", "compose_gamma", "h_pi_act",
               "hom_gamma", "identity_gamma", "parse_group"),
-    "presheaf": ("F2ChainComplex", "FiniteThetaSet", "chain_complex", "em_set",
-                 "homology_f2", "is_nondegenerate", "oracle_multisimplicial"),
+    "presheaf": ("F2ChainComplex", "FiniteThetaSet", "chain_complex", "em_cell_count",
+                 "em_cells", "em_chains", "em_set", "homology_f2", "is_nondegenerate",
+                 "oracle_multisimplicial"),
     "simplex": ("SimplicialOperator", "compose_delta", "hom_delta", "identity_delta"),
     "theta": ("ThetaOperator", "compose_theta", "gamma_n", "hom_theta", "identity_theta",
               "is_face", "is_retraction", "reedy_factor", "suspend"),

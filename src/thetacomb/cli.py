@@ -38,10 +38,10 @@ def _emit_table(header: tuple[str, str], rows: list[tuple], fmt: str) -> None:
 
 
 def cmd_trees(args) -> int:
-    from .trees import iter_forests, render_forest
+    from .trees import bracket, iter_forests
 
-    for forest in iter_forests(args.n, args.edges, args.pruned):
-        print(render_forest(forest))
+    for forest in iter_forests(args.n, args.edges, args.pruned, bracket):
+        print(bracket(forest))
     return EXIT_OK
 
 

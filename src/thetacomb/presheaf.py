@@ -63,15 +63,13 @@ def em_cells(pi: FiniteAbelianGroup, n: int, d: int) -> list:
 
 
 def em_cell_count(pi: FiniteAbelianGroup, n: int, d: int) -> int:
-    """len(em_cells(pi, n, d)), from the pruned n-trees streamed as child
-    tuples, so counting interns no root."""
+    """len(em_cells(pi, n, d)): (|pi| - 1) ** leaves per pruned n-tree, all
+    leaves at height n, the trees folded to leaf counts so none is interned."""
     _check_level(n)
     if not d:
         return 1  # the point
-    return sum(
-        (pi.order - 1) ** sum([count_at_height(kid, n - 1) for kid in forest])
-        for forest in iter_forests(n, d, pruned=True)
-    )
+    forests = iter_forests(n, d, True, lambda kids: sum(kids) or 1)
+    return sum((pi.order - 1) ** sum(forest) for forest in forests)
 
 
 def em_set(pi: FiniteAbelianGroup, n: int) -> FiniteThetaSet:

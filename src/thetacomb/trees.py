@@ -11,13 +11,14 @@ object per shape, kept in the table _SHAPES, so tree equality is
 identity and a tree hashes by id.
 Enumeration generates the trees already in lexicographic order of their
 bracket strings and streams them: no sort and no memo, each listing
-builds its candidate children per height afresh.  iter_forests streams
-the roots as child tuples, so a listing read once interns only those
-children.
+builds its candidate children per height afresh.  It is a fold: a tree is
+node(its children's values), LevelTree by default, and a listing folded
+with bracket or a leaf count interns no tree.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator
 
 from .hashcons import HashConsed
@@ -56,7 +57,7 @@ class LevelTree(HashConsed):
         try:
             return self._bracket
         except AttributeError:
-            text = render_forest(self.children)
+            text = bracket([c.render() for c in self.children])
             object.__setattr__(self, "_bracket", text)
             return text
 
@@ -67,10 +68,9 @@ class LevelTree(HashConsed):
         return f"LevelTree({self.render()!r})"
 
 
-def render_forest(children: tuple[LevelTree, ...]) -> str:
-    """The bracket encoding of the tree with these children, without
-    building that tree."""
-    return "[" + ",".join([c.render() for c in children]) + "]"
+def bracket(kids) -> str:
+    """The bracket encoding of a tree from its children's encodings."""
+    return "[" + ",".join(kids) + "]"
 
 
 LEAF = LevelTree()
@@ -83,48 +83,49 @@ def count_at_height(tree: LevelTree, h: int) -> int:
 
 
 def _forests(kids: list, high: int, slack: int, least: int) -> Iterator[tuple]:
-    """The forests over kids, (tree, edges) pairs in bracket order, whose
-    edges plus one per branch lie in [high - slack, high], in bracket
-    order.  A forest sorts after its extensions, because ',' < ']', so the
-    stack walk yields it after all of them.  A rest with 0 < rest <= least
-    fits no branch; it is skipped unless the forest may end there."""
+    """The forests over kids, (value, edges) pairs in bracket order, whose
+    weight, edges plus one per branch, lies in [high - slack, high], as
+    (values, weight) pairs in bracket order.  A forest sorts after its
+    extensions, because ',' < ']', so the stack walk yields it after all of
+    them.  A rest with 0 < rest <= least fits no branch; it is skipped
+    unless the forest may end there."""
     # weight left -> the kids that fit in it
     fits = [[kid for kid in kids if kid[1] < w and not slack < w - 1 - kid[1] <= least]
             for w in range(high + 1)]
-    branch: list[LevelTree] = []
+    branch: list = []
     stack = [(iter(fits[high]), high)]
     while stack:
         options, left = stack[-1]
-        for tree, e in options:
-            branch.append(tree)
+        for value, e in options:
+            branch.append(value)
             stack.append((iter(fits[left - 1 - e]), left - 1 - e))
             break
         else:
             stack.pop()
             if left <= slack:
-                yield tuple(branch)
+                yield tuple(branch), high - left
             if branch:
                 branch.pop()
 
 
-def _ordered(h: int, most: int, pruned: bool) -> list[tuple[LevelTree, int]]:
-    """(tree, edges) for the trees of height <= h, or if pruned those with
-    every leaf at height h, with at most `most` edges, in bracket order."""
+def _ordered(h: int, most: int, pruned: bool, node) -> list[tuple]:
+    """(node value, edges) for the trees of height <= h, or if pruned those
+    with every leaf at height h, with at most `most` edges, in bracket order."""
     if most < 0:
         return []
     if h == 0:
-        return [(LEAF, 0)]
-    kids = _ordered(h - 1, most - 1, pruned)
+        return [(node(()), 0)]
+    kids = _ordered(h - 1, most - 1, pruned, node)
     # a pruned tree of height h >= 1 has a branch, so weight >= 1
-    forests = _forests(kids, most, most - pruned, h - 1 if pruned else 0)
-    return [(tree, tree.edges) for tree in map(LevelTree, forests)]
+    return [(node(forest), e)
+            for forest, e in _forests(kids, most, most - pruned, h - 1 if pruned else 0)]
 
 
-def iter_forests(n: int, e: int, pruned: bool = False) -> Iterator[tuple[LevelTree, ...]]:
-    """The child tuples of the trees with e edges and height <= n, or if
-    pruned only those with every leaf at height n, one at a time in
-    lexicographic order of the bracket encoding.  The roots are not
-    built, so of a listing read once only the children are interned."""
+def iter_forests(n: int, e: int, pruned: bool = False, node=LevelTree) -> Iterator[tuple]:
+    """The trees with e edges and height <= n, or if pruned only those with
+    every leaf at height n, one at a time in lexicographic order of the
+    bracket encoding, each as the tuple of its children's values under the
+    fold node: LevelTree, bracket or a count.  The roots are not built."""
     if n < 0:
         raise ValueError("tree height bound n must be >= 0")
     if e < 0:
@@ -133,8 +134,8 @@ def iter_forests(n: int, e: int, pruned: bool = False) -> Iterator[tuple[LevelTr
         raise ValueError("pruned enumeration needs n >= 1")
     if e == 0 or n == 0 or pruned and e < n:  # a pruned n-tree has >= n edges
         return iter([()] if e == 0 and not pruned else [])
-    kids = _ordered(n - 1, e - 1, pruned)  # a pruned branch has >= n - 1 edges
-    return _forests(kids, e, 0, n - 1 if pruned else 0)
+    kids = _ordered(n - 1, e - 1, pruned, node)  # a pruned branch has >= n - 1 edges
+    return map(itemgetter(0), _forests(kids, e, 0, n - 1 if pruned else 0))
 
 
 def iter_trees(n: int, e: int, pruned: bool = False) -> Iterator[LevelTree]:

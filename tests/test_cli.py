@@ -257,7 +257,7 @@ def test_memory_cap_aborts_with_exit_3():
     result = subprocess.run(
         [
             sys.executable, "-m", "thetacomb.cli",
-            "trees", "--n", "4", "--edges", "14",
+            "trees", "--n", "4", "--edges", "15",
         ],
         capture_output=True,
         env=_capped_env(48),

@@ -128,6 +128,14 @@ def test_every_export_resolves_to_the_object_in_its_home_module():
             assert getattr(sys.modules[value.__module__], name) is value, name
 
 
+def test_the_em_functions_are_exported():
+    from thetacomb import em_cell_count, em_cells, em_chains, presheaf
+
+    assert em_cells is presheaf.em_cells
+    assert em_cell_count is presheaf.em_cell_count
+    assert em_chains is presheaf.em_chains
+
+
 def test_dir_and_star_import_cover_the_exports():
     assert set(thetacomb.__all__) <= set(dir(thetacomb))
     namespace: dict = {}

@@ -5,10 +5,12 @@ import pickle
 import pytest
 
 from thetacomb import trees
+from thetacomb.cli import main
 from thetacomb.gamma import parse_group
 from thetacomb.presheaf import em_cell_count, em_set
 from thetacomb.trees import (
-    LEAF, LevelTree, enumerate_pruned, enumerate_trees, iter_forests, iter_trees, render_forest
+    LEAF, LevelTree, bracket, count_at_height, enumerate_pruned, enumerate_trees, iter_forests,
+    iter_trees,
 )
 
 from oracles import (
@@ -180,25 +182,42 @@ def test_a_shape_is_frozen():
     assert LEAF.render() == "[]" and LevelTree() is LEAF
 
 
-def test_forests_render_as_their_trees():
+def _small_listings():
     for pruned in (False, True):
         for n in range(1 if pruned else 0, 5):
             for e in range(11):
-                rendered = [render_forest(f) for f in iter_forests(n, e, pruned)]
-                assert [t.render() for t in iter_trees(n, e, pruned)] == rendered
+                yield n, e, pruned
 
 
-def test_streamed_roots_are_not_interned():
-    # listing or counting roots builds their children only
+def test_forests_render_as_their_trees():
+    # the bracket fold is what the trees command prints
+    for n, e, pruned in _small_listings():
+        rendered = [bracket(f) for f in iter_forests(n, e, pruned, bracket)]
+        assert [t.render() for t in iter_trees(n, e, pruned)] == rendered
+
+
+def test_the_leaf_fold_counts_the_leaves():
+    def leaves(kids):
+        return sum(kids) or 1
+
+    for n, e, pruned in _small_listings():
+        folded = [leaves(f) for f in iter_forests(n, e, pruned, leaves)]
+        listed = list(iter_trees(n, e, pruned))
+        assert folded == [t.render().count("[]") for t in listed]
+        if pruned:  # every leaf at height n
+            assert folded == [count_at_height(t, n) for t in listed]
+
+
+def test_streamed_roots_are_not_interned(capsys):
+    # the trees command and the census fold to strings and counts
     before = len(trees._SHAPES)
-    listed = sum(1 for _ in iter_forests(4, 12))
-    assert len(trees._SHAPES) - before < listed
-    before = len(trees._SHAPES)
+    assert main(["trees", "--n", "4", "--edges", "12", "--pruned"]) == 0
+    printed = capsys.readouterr().out
     z2 = parse_group("z2")
     census = [em_cell_count(z2, 2, d) for d in range(23)]
-    # with z2 one cell per shape: degree 22 alone counts 10,946 roots,
-    # though other tests may have interned some of the lower degrees
-    assert len(trees._SHAPES) - before < census[22] == 10946
+    assert len(trees._SHAPES) == before
+    assert census[22] == 10946  # with z2 one cell per shape
+    assert printed == "".join(t.render() + "\n" for t in enumerate_pruned(4, 12))
 
 
 def test_em_bases_keep_the_oracle_order():
