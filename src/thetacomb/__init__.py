@@ -9,7 +9,7 @@ no module.  The submodules themselves are exported too."""
 from importlib import import_module
 
 _EXPORTS = {
-    "counting": ("RationalGF", "euler_char", "fib_numbers", "gf_coefficients", "gf_em"),
+    "counting": ("euler_char", "fib_numbers", "gf_coefficients", "gf_em"),
     "gamma": ("FiniteAbelianGroup", "GammaOperator", "compose_gamma", "h_pi_act",
               "hom_gamma", "identity_gamma", "parse_group"),
     "presheaf": ("F2ChainComplex", "FiniteThetaSet", "chain_complex", "em_cell_count",

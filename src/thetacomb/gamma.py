@@ -123,9 +123,10 @@ def parse_group(spec: str) -> FiniteAbelianGroup:
     """Parse a group spec like "z2" or "z2xz4"."""
     orders = []
     for part in spec.lower().split("x"):
-        if not part.startswith("z") or not part[1:].isdigit():
+        digits = part[1:]
+        if not part.startswith("z") or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad group spec {spec!r}")
-        orders.append(int(part[1:]))
+        orders.append(int(digits))
     return FiniteAbelianGroup(tuple(orders))
 
 

@@ -3,9 +3,9 @@
 A hash-consed class keeps one object per value, so equality is identity
 and an object hashes by its id (Filliatre and Conchon, "Type-safe
 modular hash-consing", ML Workshop 2006).  The level-trees, the Delta,
-Gamma and Theta_n operators and the small value classes
-(FiniteAbelianGroup, RationalGF) derive from HashConsed;
-all but LevelTree keep their objects in intern's table.
+Gamma and Theta_n operators and the one small value class,
+FiniteAbelianGroup, derive from HashConsed; all but LevelTree keep
+their objects in intern's table.
 """
 
 from __future__ import annotations

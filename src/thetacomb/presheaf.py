@@ -55,10 +55,11 @@ def em_cells(pi: FiniteAbelianGroup, n: int, d: int) -> list:
     vertices by non-neutral elements."""
     _check_level(n)
     shapes = enumerate_pruned(n, d) if d else [LEAF]
+    letters = pi.non_neutral()
     return [
         (tree, x)
         for tree in shapes
-        for x in itertools.product(pi.non_neutral(), repeat=count_at_height(tree, n))
+        for x in itertools.product(letters, repeat=count_at_height(tree, n))
     ]
 
 

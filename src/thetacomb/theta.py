@@ -17,7 +17,9 @@ Provides composition (the components through a memo of Theta_{n-1}'s
 composition, the top level unmemoised), identities, hom enumeration,
 the retraction and monomorphism tests with Reedy factorization, the
 codimension-1 faces into a tree generated from the wreath structure
-(which the cellular boundary uses), the assembly functor gamma_n to
+(which the cellular boundary uses), the codimension-1 retractions out of
+a tree, each with a section that is the first of those faces it splits
+(every degeneracy of Theta_n splits), the assembly functor gamma_n to
 Gamma and suspension.
 
 One mechanism, peel, splits an element of a Theta_n-set into a
@@ -124,14 +126,6 @@ def compose_theta(g: ThetaOperator, f: ThetaOperator) -> ThetaOperator:
 _compose_component = functools.cache(compose_theta)
 
 
-def bang(tree: LevelTree, n: int) -> ThetaOperator:
-    """The unique operator from the tree to the height-0 tree: phi is the
-    constant map to [0] and every block is empty."""
-    m = len(tree.children)
-    phi = SimplicialOperator(m, 0, (0,) * (m + 1))
-    return ThetaOperator(n, tree, LEAF, phi, ((),) * m)
-
-
 @functools.cache
 def hom_theta(
     source: LevelTree, target: LevelTree, n: int
@@ -172,7 +166,9 @@ def codim1_retractions(
     tree: LevelTree, n: int
 ) -> tuple[tuple[ThetaOperator, ThetaOperator], ...]:
     """All retractions out of the tree whose target has one edge fewer,
-    each paired with a section.
+    each paired with a section: the first codimension-1 face into the tree
+    that it splits.  Every degeneracy of Theta_n splits, so there is one,
+    and any will do: if x = r*y, then s*x = y.
 
     Every retraction factors through one of these: either a leaf branch is
     dropped at the root, or a codimension-1 retraction is applied inside a
@@ -182,38 +178,26 @@ def codim1_retractions(
     branches = tree.children
     m = len(branches)
     ids = [(identity_theta(c, n - 1),) for c in branches]
-    ident = identity_delta(m)
-    choices = []  # (smaller branches, r phi, r rows, s phi, s rows)
+    choices = [  # (phi, component rows) per retraction
+        (SimplicialOperator(m, m - 1, tuple(j if j <= i else j - 1 for j in range(m + 1))),
+         ids[:i] + [()] + ids[i + 1 :])
+        for i in range(m)
+        if branches[i] == LEAF
+    ]
     for i in range(m):
-        if branches[i] != LEAF:
-            continue
-        r_phi = SimplicialOperator(
-            m, m - 1, tuple(j if j <= i else j - 1 for j in range(m + 1))
+        choices.extend(
+            (identity_delta(m), ids[:i] + [(sub,)] + ids[i + 1 :])
+            for sub, _ in codim1_retractions(branches[i], n - 1)
         )
-        s_phi = SimplicialOperator(
-            m - 1, m, tuple(j if j <= i else j + 1 for j in range(m))
-        )
-        r_rows = [() if k == i else row for k, row in enumerate(ids)]
-        # the section's block for the branch after the dropped leaf covers
-        # the leaf too, through the unique map to it
-        s_rows = [
-            (bang(row[0].source, n - 1),) + row if k == i + 1 else row
-            for k, row in enumerate(ids)
-            if k != i
-        ]
-        smaller = branches[:i] + branches[i + 1 :]
-        choices.append((smaller, r_phi, r_rows, s_phi, s_rows))
-    for i in range(m):
-        for r_sub, s_sub in codim1_retractions(branches[i], n - 1):
-            smaller = branches[:i] + (r_sub.target,) + branches[i + 1 :]
-            r_rows = ids[:i] + [(r_sub,)] + ids[i + 1 :]
-            s_rows = ids[:i] + [(s_sub,)] + ids[i + 1 :]
-            choices.append((smaller, ident, r_rows, ident, s_rows))
     out = []
-    for smaller, r_phi, r_rows, s_phi, s_rows in choices:
-        target = LevelTree(smaller)
-        r = ThetaOperator(n, tree, target, r_phi, tuple(r_rows))
-        out.append((r, ThetaOperator(n, target, tree, s_phi, tuple(s_rows))))
+    for phi, rows in choices:
+        target = LevelTree(tuple(c.target for row in rows for c in row))
+        r = ThetaOperator(n, tree, target, phi, tuple(rows))
+        one = identity_theta(target, n)
+        out.append((r, next(
+            s for s in codim1_faces(tree, n)
+            if s.source is target and compose_theta(r, s) is one
+        )))
     return tuple(out)
 
 

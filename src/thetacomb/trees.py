@@ -33,7 +33,7 @@ class LevelTree(HashConsed):
     keyed by the children alone, which saves intern's key tuple per shape,
     and height and edges are set once per shape."""
 
-    __slots__ = ("children", "height", "edges", "_bracket")
+    __slots__ = ("children", "height", "edges")
     _fields = ("children",)
 
     def __new__(cls, children: tuple["LevelTree", ...] = ()) -> "LevelTree":
@@ -52,14 +52,8 @@ class LevelTree(HashConsed):
         return self
 
     def render(self) -> str:
-        """The bracket encoding, joined from the children's on first use and
-        kept."""
-        try:
-            return self._bracket
-        except AttributeError:
-            text = bracket([c.render() for c in self.children])
-            object.__setattr__(self, "_bracket", text)
-            return text
+        """The bracket encoding, joined from the children's."""
+        return bracket([c.render() for c in self.children])
 
     def __str__(self) -> str:
         return self.render()

@@ -1,7 +1,7 @@
 """Oracles and fixtures shared by the tests, which no command runs: the
 bracket-string parser and small tree families, Batanin's star
 construction, the taxonomy of Delta and Theta_n operators, Segal's
-gamma, the level embedding and the diagonal Delta^n -> Theta_n, Theta_n-sets
+gamma, the unique operator onto the point tree, the level embedding and the diagonal Delta^n -> Theta_n, Theta_n-sets
 whose cells are listed generically (such as products of representables),
 and the Fibonacci generating function."""
 
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 
-from thetacomb.counting import RationalGF
 from thetacomb.gamma import FiniteAbelianGroup, GammaOperator
 from thetacomb.hashcons import HashConsed, intern
 from thetacomb.presheaf import FiniteThetaSet, is_nondegenerate
@@ -217,6 +216,14 @@ def classify_theta(f: ThetaOperator) -> str:
     return "mixed"
 
 
+def bang(tree: LevelTree, n: int) -> ThetaOperator:
+    """The unique operator from the tree to the height-0 tree: phi is the
+    constant map to [0] and every block is empty."""
+    m = len(tree.children)
+    phi = SimplicialOperator(m, 0, (0,) * (m + 1))
+    return ThetaOperator(n, tree, LEAF, phi, ((),) * m)
+
+
 def embed(f: ThetaOperator) -> ThetaOperator:
     """The full embedding Theta_n -> Theta_{n+1}: same trees and phi, with
     components reinterpreted one level up."""
@@ -274,8 +281,9 @@ def product_set(s: LevelTree, t: LevelTree, n: int) -> FiniteThetaSet:
     return listed_set(n, elements, action)
 
 
-def gf_fib(n: int, p: int) -> RationalGF:
-    """f_{n,pi}(t) = (p-1) / (1 - (p-1)(t + t^2 + ... + t^n))."""
+def gf_fib(n: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """f_{n,pi}(t) = (p-1) / (1 - (p-1)(t + t^2 + ... + t^n)), as the
+    coefficient tuples (numerator, denominator), constant term first."""
     if n < 1 or p < 2:
         raise ValueError("need n >= 1 and p >= 2")
-    return RationalGF((p - 1,), (1,) + (-(p - 1),) * n)
+    return (p - 1,), (1,) + (-(p - 1),) * n

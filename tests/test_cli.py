@@ -140,6 +140,8 @@ def test_count_rejects_trivial_group(capsys):
 @pytest.mark.parametrize("argv", [
     "em cells --n 0 --group z2 --max-dim 3",
     "em cells --n 2 --group zz --max-dim 3",
+    "em cells --n 2 --group z\u0662 --max-dim 3",
+    "em cells --n 2 --group z\u00b2 --max-dim 3",
     "em cells --n 2 --group z0 --max-dim 3",
     "em cells --n 2 --group z2 --max-dim -1",
     "em homology --n 2 --group z2 --max-dim -2",

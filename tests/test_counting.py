@@ -2,14 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetacomb.counting import (
-    ExpansionError,
-    RationalGF,
-    euler_char,
-    fib_numbers,
-    gf_coefficients,
-    gf_em,
-)
+from thetacomb.counting import euler_char, fib_numbers, gf_coefficients, gf_em
 from thetacomb.gamma import FiniteAbelianGroup
 from thetacomb.presheaf import em_cell_count
 
@@ -37,10 +30,10 @@ def test_recursion_law_on_enumerated_counts():
 
 
 def test_gf_em_display_forms():
-    assert gf_em(1, 2) == RationalGF((1,), (1, -1))
-    assert gf_em(2, 2) == RationalGF((1, -1), (1, -1, -1))
-    assert gf_em(2, 3) == RationalGF((1, -2), (1, -2, -2))
-    assert gf_fib(2, 2) == RationalGF((1,), (1, -1, -1))
+    assert gf_em(1, 2) == ((1,), (1, -1))
+    assert gf_em(2, 2) == ((1, -1), (1, -1, -1))
+    assert gf_em(2, 3) == ((1, -2), (1, -2, -2))
+    assert gf_fib(2, 2) == ((1,), (1, -1, -1))
     for n, p in ((0, 2), (1, 1)):
         with pytest.raises(ValueError, match="need n >= 1 and p >= 2"):
             gf_em(n, p)
@@ -50,14 +43,16 @@ def test_gf_em_display_forms():
 
 def test_gf_coefficients():
     assert gf_coefficients(gf_em(2, 2), 7) == [1, 0, 1, 1, 2, 3, 5, 8]
-    assert gf_coefficients(RationalGF((1,), (1,)), 3) == [1, 0, 0, 0]
+    assert gf_coefficients(((1,), (1,)), 3) == [1, 0, 0, 0]
     assert gf_coefficients(gf_em(3, 2), 6) == [1, 0, 0, 1, 1, 2, 4]
-    with pytest.raises(ExpansionError):
-        gf_coefficients(RationalGF((1,), (0, 1)), 2)
-    with pytest.raises(ExpansionError, match="non-integer coefficient 1/2"):
-        RationalGF((1,), (2,)).coefficients(2)
-    with pytest.raises(ZeroDivisionError, match="denominator vanishes at t=-1"):
-        RationalGF((1,), (1, 1)).evaluate(Fraction(-1))
+    assert gf_coefficients(gf_fib(2, 2), 7) == fib_numbers(2, 2, 7)
+
+
+def test_gf_coefficients_needs_a_unit_constant_term():
+    # (0, 1) has no power series, (2,) would give 1/2, () is no polynomial
+    for denominator in ((0, 1), (2,), ()):
+        with pytest.raises(ValueError, match="the denominator's constant term must be 1"):
+            gf_coefficients(((1,), denominator), 2)
 
 
 def test_gf_coefficients_match_fib():

@@ -187,6 +187,10 @@ def test_groups():
     assert len(z24.elements()) == 8 and len(z24.non_neutral()) == 7
     with pytest.raises(ValueError):
         parse_group("q8")
+    # only ASCII digits: an Arabic-Indic 2 and a superscript 2 are not orders
+    for spec in ("z\u0662", "z\u00b2"):
+        with pytest.raises(ValueError, match="bad group spec"):
+            parse_group(spec)
 
 
 def test_h_pi_act_examples():

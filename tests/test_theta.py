@@ -23,7 +23,6 @@ from thetacomb.theta import (
     ThetaShapeError,
     _compose_component,
     _shuffle_pairs,
-    bang,
     codim1_faces,
     codim1_retractions,
     compose_theta,
@@ -41,6 +40,7 @@ from thetacomb.verify import composition_table, sample_trees
 from oracles import (
     _is_outer_face,
     _preserves_endpoints,
+    bang,
     classify_theta,
     corolla,
     diagonal,
@@ -384,6 +384,7 @@ def test_codim1_retraction_sections():
             for r, s in codim1_retractions(t, n):
                 assert r.target.edges == t.edges - 1
                 assert is_retraction(r)
+                assert s in codim1_faces(t, n)
                 assert compose_theta(r, s).is_identity
 
 

@@ -145,13 +145,12 @@ def test_generated_order_matches_sorted_oracle(pruned):
             assert [t.render() for t in got] == [_plain_render(t) for t in want]
 
 
-def test_cached_render_is_the_plain_render_and_parses_back():
+def test_render_is_the_plain_render_and_parses_back():
     for n in range(5):
         for e in range(9):
             for t in enumerate_trees(n, e):
                 assert parse_tree(_plain_render(t)) is t
                 assert t.render() == _plain_render(t)
-                assert t.render() is t.render()
 
 
 def test_one_object_per_shape():
