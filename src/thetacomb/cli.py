@@ -9,6 +9,11 @@ error, 3 memory cap exceeded or input too deep.
 
 Each command imports the modules it runs when it runs, so a query loads
 and compiles only those; only --format json loads json.
+
+Every command writes its stdout through _write_lines, which joins up to
+BLOCK_LINES lines into one write: stdout may be unbuffered
+(PYTHONUNBUFFERED) or line-buffered (a terminal), and there each write is
+a system call.  A listing streams one block at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 
 # the names of verify.SUITES, in its order, for --suite without loading verify
 SUITE_NAMES = ("wreath-laws", "factorization", "gamma-functor", "chain", "counts")
@@ -25,23 +31,32 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
+# the most lines one stdout write carries, which bounds a listing's buffer
+BLOCK_LINES = 4096
+
+
+def _write_lines(lines) -> None:
+    """Write the lines to stdout, each ended by a newline, BLOCK_LINES to a
+    write.  writelines would not do: unbuffered, it writes each line."""
+    lines = iter(lines)
+    while block := list(islice(lines, BLOCK_LINES)):
+        block.append("")
+        sys.stdout.write("\n".join(block))
+
 
 def _emit_table(header: tuple[str, str], rows: list[tuple], fmt: str) -> None:
     if fmt == "json":
         import json
 
-        print(json.dumps([dict(zip(header, row)) for row in rows]))
+        _write_lines([json.dumps([dict(zip(header, row)) for row in rows])])
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(v) for v in row))
+        _write_lines([",".join(header), *(",".join(map(str, row)) for row in rows)])
 
 
 def cmd_trees(args) -> int:
     from .trees import bracket, iter_forests
 
-    for forest in iter_forests(args.n, args.edges, args.pruned, bracket):
-        print(bracket(forest))
+    _write_lines(map(bracket, iter_forests(args.n, args.edges, args.pruned, bracket)))
     return EXIT_OK
 
 
@@ -70,16 +85,18 @@ def cmd_em(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from fractions import Fraction
-
-    from .counting import euler_char, fib_numbers
-
     if args.count_command == "fib":
+        from .counting import fib_numbers
+
         values = fib_numbers(args.n, args.order, args.terms - 1)
         _emit_table(("k", "f"), list(enumerate(values)), args.format)
         return EXIT_OK
+    from fractions import Fraction
+
+    from .counting import euler_char
+
     value = euler_char(args.n, args.order)
-    print(value)
+    _write_lines([str(value)])
     expected = Fraction(args.order) ** (1 if args.n % 2 == 0 else -1)
     if value != expected:
         print(f"euler characteristic {value} != {expected}", file=sys.stderr)
@@ -92,13 +109,11 @@ def cmd_verify(args) -> int:
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = run_suites(names, args.seed)
-    failed = 0
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {name}  ({detail})")
-        if not ok:
-            failed += 1
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
+    failed = sum(not ok for _, ok, _ in checks)
+    _write_lines([
+        *(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})" for name, ok, detail in checks),
+        f"{len(checks) - failed}/{len(checks)} checks passed",
+    ])
     return EXIT_OK if failed == 0 else EXIT_MISMATCH
 
 

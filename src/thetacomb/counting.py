@@ -12,8 +12,6 @@ class left.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 Poly = tuple[int, ...]  # coefficients, constant term first
 
 
@@ -62,4 +60,6 @@ def gf_coefficients(gf: tuple[Poly, Poly], max_degree: int) -> list[int]:
 def euler_char(n: int, p: int) -> Fraction:
     """Virtual Euler characteristic: gf_em(n,p) evaluated at t = -1;
     equals p for even n and 1/p for odd n."""
+    from fractions import Fraction  # here, so that fib_numbers loads no fractions
+
     return Fraction(*(sum(a[::2]) - sum(a[1::2]) for a in gf_em(n, p)))

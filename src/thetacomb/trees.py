@@ -82,24 +82,22 @@ def _forests(kids: list, high: int, slack: int, least: int) -> Iterator[tuple]:
     (values, weight) pairs in bracket order.  A forest sorts after its
     extensions, because ',' < ']', so the stack walk yields it after all of
     them.  A rest with 0 < rest <= least fits no branch; it is skipped
-    unless the forest may end there."""
+    unless the forest may end there.  Each stack entry carries its forest
+    as an immutable tuple, the parent's plus one value, which is yielded
+    as it is."""
     # weight left -> the kids that fit in it
     fits = [[kid for kid in kids if kid[1] < w and not slack < w - 1 - kid[1] <= least]
             for w in range(high + 1)]
-    branch: list = []
-    stack = [(iter(fits[high]), high)]
+    stack = [(iter(fits[high]), high, ())]
     while stack:
-        options, left = stack[-1]
+        options, left, forest = stack[-1]
         for value, e in options:
-            branch.append(value)
-            stack.append((iter(fits[left - 1 - e]), left - 1 - e))
+            stack.append((iter(fits[left - 1 - e]), left - 1 - e, forest + (value,)))
             break
         else:
             stack.pop()
             if left <= slack:
-                yield tuple(branch), high - left
-            if branch:
-                branch.pop()
+                yield forest, high - left
 
 
 def _ordered(h: int, most: int, pruned: bool, node) -> list[tuple]:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shlex
@@ -8,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import thetacomb
-from thetacomb.cli import main
+from thetacomb.cli import BLOCK_LINES, main
 from thetacomb.counting import fib_numbers
 from thetacomb.presheaf import BoundarySquareError, homology_f2
+from thetacomb.trees import iter_trees
 from thetacomb.verify import SUITES
 
 from test_acceptance import serre_betti_z2
@@ -240,6 +242,45 @@ def test_closed_stdout_exits_0_quietly():
     child.stderr.close()
     assert child.wait(timeout=60) == 0 and error == b""
     assert first == b"[[[[],[],[],[],[],[],[],[],[],[]]]]\n"
+
+
+class CountingWriter(io.RawIOBase):
+    """A raw writer that keeps what it is given and counts its write calls."""
+
+    def __init__(self):
+        self.data = bytearray()
+        self.writes = 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        self.data += b
+        return len(b)
+
+
+def test_stdout_is_written_in_blocks(monkeypatch):
+    # stdout as PYTHONUNBUFFERED makes it: each text write is a raw write
+    def run(*argv):
+        raw = CountingWriter()
+        stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(list(argv)) == 0
+        return raw.writes, raw.data.decode()
+
+    # the 970 KB listing, of more than one block
+    writes, out = run("trees", "--n", "3", "--edges", "12")
+    lines = [tree.render() for tree in iter_trees(3, 12)]
+    assert len(lines) > BLOCK_LINES
+    assert out == "".join(line + "\n" for line in lines)
+    assert writes <= -(-len(lines) // BLOCK_LINES) + 1
+    for argv in (
+        ["em", "homology", "--n", "2", "--group", "z2", "--max-dim", "6"],
+        ["count", "fib", "--n", "2", "--order", "3", "--terms", "8"],
+    ):
+        writes, out = run(*argv)
+        assert writes == 1 and out.count("\n") == len(out.splitlines()) > 2
 
 
 def _capped_env(megabytes):

@@ -71,6 +71,7 @@ def test_each_command_loads_only_what_it_runs():
     assert "json" in loaded_modules([*COMMANDS["em cells"], "--format", "json"])
     for name in ("count", "count fib"):
         assert package_modules(loaded[name]) == {"cli", "counting"}, name
+    assert "fractions" not in loaded["count fib"]  # it builds no rational
     for name in ("em cells", "em homology", "em homology --oracle"):
         assert not package_modules(loaded[name]) & {"theta", "simplex"}, name
     assert package_modules(loaded["trees"]) == {"cli", "trees", "hashcons"}
