@@ -6,7 +6,8 @@ m_bar -> n_bar is an ordered m-tuple of pairwise disjoint subsets of
 operator, so equality is identity; composition is memoised on them,
 since gamma_n's functoriality check composes a few hundred pairs tens
 of thousands of times.  Also here: finite abelian groups (products of
-cyclic groups) and the contravariant action defining H(pi).
+cyclic groups) and the contravariant action defining H(pi), memoised
+too, since the Theta_n-sets pull few distinct elements back many times.
 """
 
 from __future__ import annotations
@@ -130,6 +131,7 @@ def parse_group(spec: str) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(tuple(orders))
 
 
+@functools.cache
 def h_pi_act(
     pi: FiniteAbelianGroup, u: GammaOperator, x: tuple
 ) -> tuple:

@@ -14,13 +14,13 @@ level n - 1 and runs from source branch i to target branch k, and no
 tree is taller than n.
 
 Provides composition (the components through a memo of Theta_{n-1}'s
-composition, the top level unmemoised), identities, hom enumeration,
-the retraction and monomorphism tests with Reedy factorization, the
-codimension-1 faces into a tree generated from the wreath structure
-(which the cellular boundary uses), the codimension-1 retractions out of
-a tree, each with a section that is the first of those faces it splits
-(every degeneracy of Theta_n splits), the assembly functor gamma_n to
-Gamma and suspension.
+composition, the top level unmemoised), identities, hom enumeration and
+a hom-set's i-th operator built alone, the retraction and monomorphism
+tests with Reedy factorization, the codimension-1 faces into a tree
+generated from the wreath structure (which the cellular boundary uses),
+the codimension-1 retractions out of a tree, each with a section that is
+the first of those faces it splits (every degeneracy of Theta_n splits),
+the assembly functor gamma_n to Gamma and suspension.
 
 One mechanism, peel, splits an element of a Theta_n-set into a
 degeneracy of its non-degenerate core (Eilenberg-Zilber).  The Reedy
@@ -30,7 +30,8 @@ factorization of f: S -> T is f's non-degenerate core in Theta_n[T].
 from __future__ import annotations
 
 import functools
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, islice, product
+from math import prod
 from typing import Callable, Iterator
 
 from .gamma import GammaOperator, identity_gamma
@@ -105,11 +106,14 @@ def compose_theta(g: ThetaOperator, f: ThetaOperator) -> ThetaOperator:
     constructor call; a new one is checked by _build there."""
     if f.level != g.level:
         raise ThetaCompositionError("level mismatch")
-    if f.target != g.source:
+    if f.target is not g.source:
         raise ThetaCompositionError("endpoint mismatch")
     phi = compose_delta(g.phi, f.phi)
     rows = []
     for f_row, start in zip(f.components, f.phi.values):
+        if not f_row:
+            rows.append(())
+            continue
         row = []
         # f_c lands on target branch k + 1, whose row in g is g.components[k]
         for k, f_c in enumerate(f_row, start):
@@ -135,16 +139,37 @@ def hom_theta(
     recursion ends at level 0, where the leaf has one operator, the point.
     A tree taller than n raises ThetaShapeError at the first operator
     built."""
-    m, mt = len(source.children), len(target.children)
     out = []
-    for phi in hom_delta(m, mt):
-        row_choices = [
-            product(*(hom_theta(child, t, n - 1) for t in target.children[a:b]))
-            for child, a, b in zip(source.children, phi.values, phi.values[1:])
-        ]
-        for rows in product(*row_choices):
+    for phi, hom_sets, _ in _choices(source, target, n):
+        for rows in product(*(product(*row) for row in hom_sets)):
             out.append(ThetaOperator(n, source, target, phi, rows))
     return tuple(out)
+
+
+def _choices(source: LevelTree, target: LevelTree, n: int) -> Iterator[tuple]:
+    """Each phi in hom_theta's order, with the hom-sets that an operator
+    over phi takes its components from, row by row (source branch i into
+    each target branch of its block), and the number of such operators."""
+    for phi in hom_delta(len(source.children), len(target.children)):
+        hom_sets = [[hom_theta(child, t, n - 1) for t in target.children[a:b]]
+                    for child, a, b in zip(source.children, phi.values, phi.values[1:])]
+        yield phi, hom_sets, prod(len(homs) for row in hom_sets for homs in row)
+
+
+def hom_size(source: LevelTree, target: LevelTree, n: int) -> int:
+    """len(hom_theta(source, target, n)), from the hom-sets a level down."""
+    return sum(count for _, _, count in _choices(source, target, n))
+
+
+def nth_theta(source: LevelTree, target: LevelTree, n: int, i: int) -> ThetaOperator:
+    """hom_theta(source, target, n)[i], the one operator built: past the
+    operators over earlier phi, hom_theta's i-th choice of rows over phi."""
+    for phi, hom_sets, count in _choices(source, target, n):
+        if i < count:
+            rows = next(islice(product(*(product(*row) for row in hom_sets)), i, None))
+            return ThetaOperator(n, source, target, phi, rows)
+        i -= count
+    raise IndexError("operator index out of range")
 
 
 # --- retractions and monomorphisms ------------------------------------

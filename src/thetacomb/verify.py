@@ -3,7 +3,8 @@
 Each suite returns a list of (check-name, passed, detail) triples; a
 suite passes iff every triple does.  The exhaustive n=2 suites
 (wreath-laws, factorization, gamma-functor) share one composition table
-per process, filled lazily by composition_table.
+per process, filled lazily by composition_table; they check the laws on
+its bytes, through translation tables derived afresh in each suite call.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from .theta import (
     ThetaOperator,
     compose_theta,
     gamma_n,
+    hom_size,
     hom_theta,
     identity_theta,
     is_face,
     is_retraction,
+    nth_theta,
     reedy_factor,
     suspend,
 )
@@ -80,20 +83,25 @@ def suite_wreath_laws(seed: int = 0) -> list[Check]:
          f"{bad_identity} violations")
     )
     # associativity over all 4.1M composable triples, one (s, t, u, v) block
-    # at a time: f's row of the (s, t, v) table, as a translation table,
-    # sends each hg to (hg)f; both sides list the block's triples f, g, h
+    # at a time: f's row of the (s, t, v) table, as a translation table, sends
+    # each hg to (hg)f, listed f, g, h and re-laid h, f, g by strided slices;
+    # h's column of the (s, u, v) table sends each gf to h(gf), listed h, f, g
     bad_assoc = 0
     total = 0
-    for s, t, v in itertools.product(trees, repeat=3):
-        f_rows = [row.ljust(256, b"\0") for row in composition_table(s, t, v)]
+    for s, v in itertools.product(trees, repeat=2):
+        f_rows = {t: [row.ljust(256, b"\0") for row in composition_table(s, t, v)]
+                  for t in trees}
         for u in trees:
-            hg = b"".join(composition_table(t, u, v))
-            hg_f = b"".join(map(hg.translate, f_rows))
-            h_gf = b"".join(map(composition_table(s, u, v).__getitem__,
-                                b"".join(composition_table(s, t, u))))
-            total += len(hg_f)
-            if hg_f != h_gf:
-                bad_assoc += sum(a != b for a, b in zip(hg_f, h_gf))
+            width = len(hom_theta(u, v, 2))
+            by_row = b"".join(composition_table(s, u, v))
+            columns = [by_row[h::width].ljust(256, b"\0") for h in range(width)]
+            for t in trees:
+                hg_f = b"".join(map(b"".join(composition_table(t, u, v)).translate, f_rows[t]))
+                hg_f = b"".join(hg_f[h::width] for h in range(width))
+                h_gf = b"".join(map(b"".join(composition_table(s, t, u)).translate, columns))
+                total += len(hg_f)
+                if hg_f != h_gf:
+                    bad_assoc += sum(a != b for a, b in zip(hg_f, h_gf))
     checks.append(
         ("associativity, exhaustive n=2 trees <= 3 edges", bad_assoc == 0,
          f"{bad_assoc}/{total} violations")
@@ -104,9 +112,9 @@ def suite_wreath_laws(seed: int = 0) -> list[Check]:
     bad3 = 0
     for _ in range(40):
         s, t, u, v = (rng.choice(trees3) for _ in range(4))
-        f = rng.choice(hom_theta(s, t, 3))
-        g = rng.choice(hom_theta(t, u, 3))
-        h = rng.choice(hom_theta(u, v, 3))
+        # hom_theta's i-th, built alone; randrange draws i as choice would
+        f, g, h = (nth_theta(a, b, 3, rng.randrange(hom_size(a, b, 3)))
+                   for a, b in ((s, t), (t, u), (u, v)))
         if compose_theta(compose_theta(h, g), f) != compose_theta(
             h, compose_theta(g, f)
         ):
@@ -178,15 +186,37 @@ def _gammas(s: LevelTree, t: LevelTree) -> tuple:
     return tuple(map(gamma_n, hom_theta(s, t, 2)))
 
 
+@functools.cache
+def _gamma_positions(m: int, n: int) -> dict:
+    return {g: i for i, g in enumerate(hom_gamma(m, n))}
+
+
+def _gamma_code(g) -> int:
+    """g's position in hom_gamma; below 256 at the sample's endpoints <= 3."""
+    return _gamma_positions(g.source, g.target)[g]
+
+
+@functools.cache
+def _gamma_codes(s: LevelTree, t: LevelTree) -> bytes:
+    """The codes of _gammas(s, t), as a translation table."""
+    return bytes(map(_gamma_code, _gammas(s, t))).ljust(256, b"\0")
+
+
+@functools.cache
+def _composite_codes(t: LevelTree, u: LevelTree, gamma_f) -> bytes:
+    """The codes of gamma_n(g) . gamma_f, for g in hom_theta(t, u, 2)."""
+    return bytes(_gamma_code(compose_gamma(g, gamma_f)) for g in _gammas(t, u))
+
+
 def _functoriality_violations(triples) -> tuple[int, int]:
-    """Pairs s -> t -> u of the n=2 triples breaking functoriality, and all pairs."""
+    """Pairs s -> t -> u of the n=2 triples breaking functoriality, and all
+    pairs, compared in codes a table row at a time."""
     bad = total = 0
     for s, t, u in triples:
-        g_su, g_tu = _gammas(s, u), _gammas(t, u)
+        codes = _gamma_codes(s, u)
         for row, gamma_f in zip(composition_table(s, t, u), _gammas(s, t)):
             total += len(row)
-            got = list(map(g_su.__getitem__, row))
-            want = list(map(compose_gamma, g_tu, itertools.repeat(gamma_f)))
+            got, want = row.translate(codes), _composite_codes(t, u, gamma_f)
             if got != want:
                 bad += sum(a != b for a, b in zip(got, want))
     return bad, total

@@ -5,6 +5,7 @@ enforces the advertised runtime budget.  A one-line PASS report is
 printed per criterion (visible with ``pytest -v`` or ``-s``).
 """
 
+import contextlib
 import itertools
 import math
 import os
@@ -259,18 +260,26 @@ def _wrong_composite():
     raise AssertionError("the sample has no such pair")
 
 
-@pytest.fixture
-def wrong_composite(monkeypatch):
-    """verify composes with _wrong_composite's w in place of m . r."""
+@contextlib.contextmanager
+def composing_wrongly():
+    """verify composes with _wrong_composite's w in place of m . r, from a
+    cleared composition table; the table is cleared again on the way out."""
     m, r, w = _wrong_composite()
 
     def wrong_compose(g, f):
         return w if (g, f) == (m, r) else compose_theta(g, f)
 
     verify.composition_table.cache_clear()
-    monkeypatch.setattr(verify, "compose_theta", wrong_compose)
-    yield
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "compose_theta", wrong_compose)
+        yield
     verify.composition_table.cache_clear()
+
+
+@pytest.fixture
+def wrong_composite():
+    with composing_wrongly():
+        yield
 
 
 def test_a_wrong_composite_fails_every_theta2_suite(wrong_composite):
@@ -278,12 +287,28 @@ def test_a_wrong_composite_fails_every_theta2_suite(wrong_composite):
         assert not all(ok for _, ok, _ in run_suites([name])), name
 
 
+def _law_violations() -> list[str]:
+    checks = run_suites(["wreath-laws", "gamma-functor"])
+    details = {name: detail for name, _, detail in checks}
+    return [details["associativity, exhaustive n=2 trees <= 3 edges"],
+            details["gamma_n functoriality, exhaustive n=2 trees <= 3 edges"]]
+
+
 def test_a_wrong_composite_is_counted_once_per_triple(wrong_composite):
     # the checks compare a table block at a time, but count each triple
     # (associativity) or pair (functoriality) that breaks the law once
-    details = {name: detail for name, _, detail in run_suites(["wreath-laws", "gamma-functor"])}
-    assert details["associativity, exhaustive n=2 trees <= 3 edges"] == "174/4164023 violations"
-    assert details["gamma_n functoriality, exhaustive n=2 trees <= 3 edges"] == "1/47934 violations"
+    assert _law_violations() == ["174/4164023 violations", "1/47934 violations"]
+
+
+def test_no_derived_table_outlives_the_composition_table():
+    # what the suites derive from the composition table is derived afresh
+    # in each suite call, so a cleared table is seen by every check
+    verify.composition_table.cache_clear()
+    clean = ["0/4164023 violations", "0/47934 violations"]
+    assert _law_violations() == clean
+    with composing_wrongly():
+        assert _law_violations() == ["174/4164023 violations", "1/47934 violations"]
+    assert _law_violations() == clean
 
 
 def test_theta2_suites_give_the_same_checks_in_any_order():

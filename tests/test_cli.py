@@ -204,6 +204,34 @@ def test_verify_suite(capsys):
     assert out.splitlines()[-1].endswith("checks passed")
 
 
+VERIFY_REPORT = """\
+PASS  identity laws, exhaustive n=2 trees <= 3 edges  (0 violations)
+PASS  associativity, exhaustive n=2 trees <= 3 edges  (0/4164023 violations)
+PASS  associativity, random n=3 trees <= 4 edges  (0 violations)
+PASS  reedy factorization exists uniquely, exhaustive n=2 trees <= 3 edges  (0/558 operators failed)
+PASS  Gamma identity laws, exhaustive endpoints <= 2  (0 violations)
+PASS  Gamma associativity, exhaustive endpoints <= 2  (0/2457 violations)
+PASS  gamma_n functoriality, exhaustive n=2 trees <= 3 edges  (0/47934 violations)
+PASS  gamma_n functoriality, n=2 trees <= 2 edges into 4 edges  (0/8325 violations)
+PASS  suspension triangle gamma_{n+1} o sigma_n = gamma_n  (0 violations)
+PASS  homology of K(z2,1) vs oracle, degrees < 7  (chain [1, 1, 1, 1, 1, 1, 1] vs oracle [1, 1, 1, 1, 1, 1, 1])
+PASS  labelled-tree boundary of K(z2,1) equals the Theta_n-set boundary  (degrees <= 7, 8 cells)
+PASS  homology of K(z3,1) vs oracle, degrees < 6  (chain [1, 0, 0, 0, 0, 0] vs oracle [1, 0, 0, 0, 0, 0])
+PASS  labelled-tree boundary of K(z3,1) equals the Theta_n-set boundary  (degrees <= 6, 127 cells)
+PASS  homology of K(z2,2) vs oracle, degrees < 6  (chain [1, 0, 1, 1, 1, 2] vs oracle [1, 0, 1, 1, 1, 2])
+PASS  labelled-tree boundary of K(z2,2) equals the Theta_n-set boundary  (degrees <= 6, 13 cells)
+PASS  three-way count agreement, n <= 3, p <= 4, k <= 10  (0 mismatches)
+PASS  euler characteristic p^((-1)^n), n <= 6, p <= 7  (0 mismatches)
+17/17 checks passed
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_verify_report(capsys, seed):
+    # the seed draws the n = 3 sample; every check and count is exhaustive
+    assert run_cli(capsys, "verify", "--suite", "all", "--seed", str(seed)) == (0, VERIFY_REPORT, "")
+
+
 def test_verify_bogus_suite(capsys):
     code, _, _ = run_cli(capsys, "verify", "--suite", "bogus")
     assert code == 2

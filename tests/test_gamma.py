@@ -204,6 +204,23 @@ def test_h_pi_act_examples():
         h_pi_act(Z2, u, (a,))
 
 
+def test_h_pi_act_memo_is_transparent():
+    for pi in (Z2, Z3, Z2Z2):
+        for m, n in itertools.product(range(3), repeat=2):
+            for u, x in itertools.product(hom_gamma(m, n), itertools.product(pi.elements(), repeat=n)):
+                want = h_pi_act.__wrapped__(pi, u, x)
+                assert h_pi_act(pi, u, x) == want and h_pi_act(pi, u, x) is h_pi_act(pi, u, x)
+
+
+def test_refused_actions_leave_no_memo_entry():
+    u = GammaOperator(3, 2, ((1,), (), (2,)))
+    before = h_pi_act.cache_info().currsize
+    for x in [((1,),), ((1,),), ((0,), (1,), (0,))]:
+        with pytest.raises(GammaShapeError, match="element has length"):
+            h_pi_act(Z2, u, x)
+        assert h_pi_act.cache_info().currsize == before
+
+
 def test_h_pi_act_functorial():
     for pi in (Z2, Z3, Z2Z2):
         elements = pi.elements()

@@ -76,7 +76,17 @@ def test_each_command_loads_only_what_it_runs():
         assert not package_modules(loaded[name]) & {"theta", "simplex"}, name
     assert package_modules(loaded["trees"]) == {"cli", "trees", "hashcons"}
     # the parser alone loads no module of the package but cli
-    assert package_modules(loaded_modules([])) == {"cli"}
+    parser = loaded_modules([])
+    assert package_modules(parser) == {"cli"}
+    # verify loads every module of the package and, beyond the parser's,
+    # only the standard modules that fractions (the counts suite) pulls in
+    loaded = loaded_modules(["verify", "--suite", "all"])
+    assert package_modules(loaded) == {
+        "cli", "counting", "gamma", "hashcons", "presheaf", "simplex", "theta", "trees", "verify"
+    }
+    assert {m for m in loaded - parser if not m.startswith("thetacomb.")} <= {
+        "_decimal", "_locale", "decimal", "fractions", "locale", "numbers"
+    }
 
 
 # run CLI commands in a fresh interpreter and print their exit codes, the

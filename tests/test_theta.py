@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import operator
 import os
 import pickle
 import random
@@ -27,14 +28,17 @@ from thetacomb.theta import (
     codim1_retractions,
     compose_theta,
     gamma_n,
+    hom_size,
     hom_theta,
     identity_theta,
     is_face,
     is_retraction,
+    nth_theta,
     reedy_factor,
     suspend,
 )
 from thetacomb.trees import LEAF, LevelTree, enumerate_trees
+from thetacomb import verify
 from thetacomb.verify import composition_table, sample_trees
 
 from oracles import (
@@ -281,6 +285,38 @@ def test_hom_order_is_lexicographic_row_by_row():
         for s, t in itertools.product(all_trees(n, 4), repeat=2):
             keys = [key(f) for f in hom_theta(s, t, n)]
             assert keys == sorted(set(keys)), (n, s, t)
+
+
+def test_nth_theta_is_hom_theta_at_that_index():
+    for n in (1, 2, 3):
+        for s, t in itertools.product(all_trees(n, 3), repeat=2):
+            homs = hom_theta(s, t, n)
+            assert hom_size(s, t, n) == len(homs)
+            assert all(nth_theta(s, t, n, i) is f for i, f in enumerate(homs)), (n, s, t)
+            with pytest.raises(IndexError):
+                nth_theta(s, t, n, len(homs))
+
+
+def test_the_n3_sample_draws_what_choice_would(monkeypatch):
+    # randrange(len) and choice read the same random stream, so each seed
+    # draws the operators that rng.choice(hom_theta(...)) draws
+    drawn = []
+
+    def recording(*args):
+        drawn.append(nth_theta(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "nth_theta", recording)
+    trees3 = sample_trees(3, 4)
+    for seed in range(10):
+        drawn.clear()
+        verify.suite_wreath_laws(seed)
+        rng = random.Random(seed)
+        chosen = []
+        for _ in range(40):
+            s, t, u, v = (rng.choice(trees3) for _ in range(4))
+            chosen.extend(rng.choice(hom_theta(a, b, 3)) for a, b in ((s, t), (t, u), (u, v)))
+        assert len(drawn) == 120 and all(map(operator.is_, drawn, chosen)), seed
 
 
 def wreath_compose(g, f):
