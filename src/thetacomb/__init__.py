@@ -13,12 +13,12 @@ _EXPORTS = {
     "gamma": ("FiniteAbelianGroup", "GammaOperator", "compose_gamma", "h_pi_act",
               "hom_gamma", "identity_gamma", "parse_group"),
     "presheaf": ("F2ChainComplex", "FiniteThetaSet", "chain_complex", "em_cell_count",
-                 "em_cells", "em_chains", "em_set", "homology_f2", "is_nondegenerate",
-                 "oracle_multisimplicial"),
+                 "em_cells", "em_chains", "em_set", "em_words", "homology_f2",
+                 "is_nondegenerate", "oracle_multisimplicial", "word_cell"),
     "simplex": ("SimplicialOperator", "compose_delta", "hom_delta", "identity_delta"),
     "theta": ("ThetaOperator", "compose_theta", "gamma_n", "hom_theta", "identity_theta",
               "is_face", "is_retraction", "reedy_factor", "suspend"),
-    "trees": ("LevelTree", "enumerate_pruned", "enumerate_trees"),
+    "trees": ("LevelTree", "enumerate_trees"),
 }
 # public name -> the module defining it; a submodule is its own home
 _HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}

@@ -6,15 +6,17 @@ vertices by elements of pi, operators act through gamma_n and subset
 sums.  Also here: the non-degeneracy test, mod-2 cellular chains on the
 non-degenerate cells with homology (for K(pi,n) also built by em_chains,
 the iterated bar construction over the augmentation ideal of F2[pi] run
-on each labelled pruned tree read as a bar word n deep, with
-chain_complex's Theta operators as the oracle), and an independent
-oracle for the homology at every level: Serre's Poincare series of
-K(pi,n) over F2.
+on the labelled pruned trees as bar words n deep, with chain_complex's
+Theta operators as the oracle), and an independent oracle for the
+homology at every level: Serre's Poincare series of K(pi,n) over F2.
 
-The cells of K(pi,n) and their count (em_cells, em_cell_count) and its
-chains (em_chains) need no Theta operator, so the module does not load
-theta: the functions that act with operators (em_set, is_nondegenerate,
-chain_complex) import what they use of it when they are called.
+The cells of K(pi,n) are listed once, as bar words folded from the
+pruned trees (em_words); em_cells spells each as (tree, labels) for the
+Theta_n-set, and em_cell_count counts them by leaves.  The words and
+their chains (em_chains) need no Theta operator and no tree, so the
+module does not load theta: the functions that act with operators
+(em_set, is_nondegenerate, chain_complex) import what they use of it
+when they are called.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .gamma import FiniteAbelianGroup, h_pi_act
-from .trees import LEAF, LevelTree, count_at_height, enumerate_pruned, iter_forests
+from .trees import LEAF, LevelTree, iter_forests
 
 if TYPE_CHECKING:
     from .theta import ThetaOperator
@@ -48,19 +50,38 @@ def _check_level(n: int) -> None:
         raise ValueError("level n must be >= 1")
 
 
+def em_words(pi: FiniteAbelianGroup, n: int, d: int) -> list:
+    """The non-degenerate cells of K(pi,n) over trees with d edges as bar
+    words n deep, in the order of em_cells: the empty word in degree 0, and
+    in degree d >= 1 the pruned n-trees folded so that a branch's value is
+    the list of all its labelled words, a level-0 letter being a
+    non-neutral label.  Each list is in lexicographic order of its labels,
+    and so is a product of them, and a sub-word is one object per layer."""
+    _check_level(n)
+    if not d:
+        return [()]  # the point
+    letters = pi.non_neutral()
+
+    def node(kids: tuple) -> list:
+        return [*itertools.product(*kids)] if kids else letters
+
+    return [w for kids in iter_forests(n, d, True, node) for w in itertools.product(*kids)]
+
+
+def word_cell(n: int, w) -> tuple[LevelTree, tuple]:
+    """The cell (tree, labels) that the level-n bar word w spells."""
+    if not n:
+        return LEAF, (w,)
+    cells = [word_cell(n - 1, letter) for letter in w]
+    return LevelTree(tuple(t for t, _ in cells)), tuple(x for _, xs in cells for x in xs)
+
+
 def em_cells(pi: FiniteAbelianGroup, n: int, d: int) -> list:
     """The non-degenerate cells of K(pi,n) over trees with d edges, as
     (tree, labels) pairs, trees in render order: the point in degree 0,
     and in degree d >= 1 the labelings of the pruned n-trees' height-n
-    vertices by non-neutral elements."""
-    _check_level(n)
-    shapes = enumerate_pruned(n, d) if d else [LEAF]
-    letters = pi.non_neutral()
-    return [
-        (tree, x)
-        for tree in shapes
-        for x in itertools.product(letters, repeat=count_at_height(tree, n))
-    ]
+    vertices by non-neutral elements, each spelt out of its em_words word."""
+    return [word_cell(n, w) for w in em_words(pi, n, d)]
 
 
 def em_cell_count(pi: FiniteAbelianGroup, n: int, d: int) -> int:
@@ -170,11 +191,11 @@ def chain_complex(x_set: FiniteThetaSet, dim_bound: int) -> F2ChainComplex:
 
 
 def em_chains(pi: FiniteAbelianGroup, n: int, dim_bound: int) -> F2ChainComplex:
-    """The F2 chains of K(pi,n) on its cells (tree, labels), with the basis
-    and boundary of chain_complex(em_set(pi, n), dim_bound) and no Theta
-    operator: the iterated bar construction over the augmentation ideal of
-    F2[pi] (Eilenberg-Mac Lane; Mac Lane, Homology, ch. X).  Each cell is
-    read once as a bar word n deep: a level-0 letter is a label g, standing
+    """The F2 chains of K(pi,n) on its cells as em_words' bar words, with
+    the boundary of chain_complex(em_set(pi, n), dim_bound), whose basis is
+    word_cell of this one, and no Theta operator: the iterated bar
+    construction over the augmentation ideal of F2[pi] (Eilenberg-Mac Lane;
+    Mac Lane, Homology, ch. X).  A level-0 letter is a label g, standing
     for x_g = g - e, and a level-k word the tuple of its root branches'
     level-(k-1) words.  There are no end faces: a face lies inside one
     letter, or merges two adjacent letters by the level-(k-1) product,
@@ -187,13 +208,6 @@ def em_chains(pi: FiniteAbelianGroup, n: int, dim_bound: int) -> F2ChainComplex:
     for g, h in itertools.product(letters, repeat=2):
         terms = (pi.add(g, h), g, h)
         ideal[g, h] = tuple(x for x in set(terms) if x in letters and terms.count(x) % 2)
-    shared: dict[tuple, tuple] = {}  # one copy of each sub-word
-
-    def word(k: int, tree: LevelTree, labels: Iterator) -> tuple:
-        if k == 0:
-            return next(labels)
-        w = tuple(word(k - 1, c, labels) for c in tree.children)
-        return shared.setdefault(w, w)
 
     def product(k: int, u, v) -> tuple:
         return shuffles(u, v) if k else ideal[u, v]
@@ -208,12 +222,9 @@ def em_chains(pi: FiniteAbelianGroup, n: int, dim_bound: int) -> F2ChainComplex:
             for merged in product(k - 1, w[j], w[j + 1]):
                 yield w[:j] + (merged,) + w[j + 2 :]
 
-    basis = [em_cells(pi, n, d) for d in range(dim_bound + 1)]
-    words = [[word(n, tree, iter(labels)) for tree, labels in layer] for layer in basis]
-    shared.clear()
-    complex_ = _f2_chains(words, lambda d, w: faces(n, w))
+    basis = [em_words(pi, n, d) for d in range(dim_bound + 1)]
+    complex_ = _f2_chains(basis, lambda d, w: faces(n, w))
     shuffles.cache_clear()
-    complex_.basis = basis
     return complex_
 
 

@@ -58,10 +58,6 @@ class SimplicialOperator(HashConsed):
             return False
         return all(b - a <= 1 for a, b in zip(self.values, self.values[1:]))
 
-    @property
-    def is_identity(self) -> bool:
-        return self is identity_delta(self.source)
-
 
 def identity_delta(m: int) -> SimplicialOperator:
     return SimplicialOperator(m, m, tuple(range(m + 1)))

@@ -88,10 +88,6 @@ class ThetaOperator(HashConsed):
         if max(self.source.height, self.target.height) > n:
             raise ThetaShapeError(f"level-{n} trees must have height <= {n}")
 
-    @property
-    def is_identity(self) -> bool:
-        return _every_level(self, lambda g: g.source == g.target and g.phi.is_identity)
-
 
 def identity_theta(tree: LevelTree, n: int) -> ThetaOperator:
     rows = tuple((identity_theta(c, n - 1),) for c in tree.children)

@@ -4,7 +4,7 @@ A level-tree is a finite planar rooted tree; vertices are graded by their
 edge-distance from the root.  Trees of height <= n are the cell shapes used
 throughout the rest of the library.  This module provides the data
 structure, its bracket-string rendering, and enumeration of all trees
-or only the pruned ones.
+or only the pruned ones (every leaf at height n).
 
 Trees are hash-consed (hashcons.HashConsed): there is one LevelTree
 object per shape, kept in the table _SHAPES, so tree equality is
@@ -13,7 +13,7 @@ Enumeration generates the trees already in lexicographic order of their
 bracket strings and streams them: no sort and no memo, each listing
 builds its candidate children per height afresh.  It is a fold: a tree is
 node(its children's values), LevelTree by default, and a listing folded
-with bracket or a leaf count interns no tree.
+with bracket, a leaf count or labelled bar words interns no tree.
 """
 
 from __future__ import annotations
@@ -130,19 +130,7 @@ def iter_forests(n: int, e: int, pruned: bool = False, node=LevelTree) -> Iterat
     return map(itemgetter(0), _forests(kids, e, 0, n - 1 if pruned else 0))
 
 
-def iter_trees(n: int, e: int, pruned: bool = False) -> Iterator[LevelTree]:
-    """The trees of iter_forests, in the same order."""
-    return map(LevelTree, iter_forests(n, e, pruned))
-
-
 def enumerate_trees(n: int, e: int) -> list[LevelTree]:
     """All level-trees with exactly e edges and height <= n, in
     lexicographic order of the bracket encoding."""
-    return list(iter_trees(n, e))
-
-
-def enumerate_pruned(n: int, e: int) -> list[LevelTree]:
-    """All pruned n-trees (every leaf at height exactly n) with e edges, in
-    the same order."""
-    return list(iter_trees(n, e, pruned=True))
-
+    return list(map(LevelTree, iter_forests(n, e)))

@@ -23,6 +23,7 @@ from .presheaf import (
     em_set,
     homology_f2,
     oracle_multisimplicial,
+    word_cell,
 )
 from .theta import (
     ThetaOperator,
@@ -283,7 +284,8 @@ def suite_chain() -> list[Check]:
             )
         )
         bar = em_chains(pi, n, bound)
-        same = bar.basis == complex_.basis and bar.boundary == complex_.boundary
+        cells = [[word_cell(n, w) for w in layer] for layer in bar.basis]
+        same = cells == complex_.basis and bar.boundary == complex_.boundary
         checks.append((
             f"labelled-tree boundary of K({spec},{n}) equals the Theta_n-set boundary",
             same, f"degrees <= {bound}, {sum(map(len, bar.basis))} cells",

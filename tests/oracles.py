@@ -1,9 +1,10 @@
 """Oracles and fixtures shared by the tests, which no command runs: the
-bracket-string parser and small tree families, Batanin's star
-construction, the taxonomy of Delta and Theta_n operators, Segal's
-gamma, the unique operator onto the point tree, the level embedding and the diagonal Delta^n -> Theta_n, Theta_n-sets
-whose cells are listed generically (such as products of representables),
-and the Fibonacci generating function."""
+bracket-string parser, the pruned-tree listing and small tree families,
+Batanin's star construction, the identity test and the taxonomy of Delta
+and Theta_n operators, Segal's gamma, the unique operator onto the point
+tree, the level embedding and the diagonal Delta^n -> Theta_n,
+Theta_n-sets whose cells are listed generically (such as products of
+representables), and the Fibonacci generating function."""
 
 from __future__ import annotations
 
@@ -12,11 +13,11 @@ import itertools
 from thetacomb.gamma import FiniteAbelianGroup, GammaOperator
 from thetacomb.hashcons import HashConsed, intern
 from thetacomb.presheaf import FiniteThetaSet, is_nondegenerate
-from thetacomb.simplex import SimplicialOperator
+from thetacomb.simplex import SimplicialOperator, identity_delta
 from thetacomb.theta import (
     ThetaOperator, _every_level, compose_theta, hom_theta, identity_theta, reedy_factor
 )
-from thetacomb.trees import LEAF, LevelTree, count_at_height, enumerate_trees
+from thetacomb.trees import LEAF, LevelTree, count_at_height, enumerate_trees, iter_forests
 
 
 class TreeParseError(ValueError):
@@ -56,6 +57,12 @@ def parse_tree(text: str) -> LevelTree:
     if pos != len(stripped):
         raise TreeParseError("trailing input", stripped[pos][0])
     return tree
+
+
+def enumerate_pruned(n: int, e: int) -> list[LevelTree]:
+    """All pruned n-trees (every leaf at height exactly n) with e edges, in
+    lexicographic order of the bracket encoding."""
+    return list(map(LevelTree, iter_forests(n, e, pruned=True)))
 
 
 def linear_tree(n: int) -> LevelTree:
@@ -138,6 +145,14 @@ def star(tree: LevelTree, n: int) -> NGraph:
 # --- operators ---------------------------------------------------------
 
 
+def is_identity(f: SimplicialOperator | ThetaOperator) -> bool:
+    """True iff the Delta or Theta_n operator f is an identity: for Theta_n,
+    at every level the source is the target and phi is an identity."""
+    if isinstance(f, SimplicialOperator):
+        return f is identity_delta(f.source)
+    return _every_level(f, lambda g: g.source is g.target and is_identity(g.phi))
+
+
 def factor_epi_mono(
     f: SimplicialOperator,
 ) -> tuple[SimplicialOperator, SimplicialOperator]:
@@ -168,7 +183,7 @@ def classify_delta(f: SimplicialOperator) -> DeltaClass:
     the inner flag holds iff endpoints are preserved (f(0)=0, f(m)=n) and
     the outer flag iff consecutive values step by exactly 1.
     """
-    if f.is_identity:
+    if is_identity(f):
         kind = "iso"
     elif f.is_injective:
         kind = "face"
@@ -203,12 +218,12 @@ def _is_outer_face(f: ThetaOperator) -> bool:
 
 def classify_theta(f: ThetaOperator) -> str:
     """One of identity, degeneracy, inner-face, outer-face, mixed."""
-    if f.is_identity:
+    if is_identity(f):
         return "identity"
     degeneracy, face = reedy_factor(f)
-    if face.is_identity:
+    if is_identity(face):
         return "degeneracy"
-    if degeneracy.is_identity:
+    if is_identity(degeneracy):
         if _preserves_endpoints(f):
             return "inner-face"
         if _is_outer_face(f):

@@ -39,7 +39,7 @@ from thetacomb.theta import (
 from thetacomb.trees import enumerate_trees
 from thetacomb.verify import SUITES, run_suites, sample_trees
 
-from oracles import corolla, product_set
+from oracles import corolla, is_identity, product_set
 
 THETA2_SUITES = ["wreath-laws", "factorization", "gamma-functor"]
 PACKAGE_PATH = str(Path(thetacomb.__file__).resolve().parent.parent)
@@ -192,6 +192,39 @@ def serre_bigraded_z2(n, top):
     return betti
 
 
+def cartan_multigraded_z2(n, top):
+    """F2 Betti numbers of K(Z/2,n) by degree 0..top-1 and multidegree c,
+    as {(degree, c): betti} with the zeros left out, from Cartan's iterated
+    bar constructions (Seminaire H. Cartan 7, 1954/55).  c is a tuple of
+    top.bit_length() counts, c_i the level-1 letters x^a with bit i of a
+    set.  Level 1 is exterior on x_i, of degree 2^i and multidegree e_i;
+    level 2 has the generators sigma x_i, of degree 2^i + 1; for k >= 2
+    each level-k generator (d, m) gives the level-(k+1) generators
+    (2^j d + 1, 2^j m), j >= 0.  From level 2 on the series is the product
+    of 1 / (1 - t^d s^m) over the generators."""
+    width = top.bit_length()
+    generators = [(2 ** i, tuple(int(j == i) for j in range(width))) for i in range(width)]
+    for k in range(1, n):
+        generators = [
+            (2 ** j * d + 1, tuple(2 ** j * x for x in m))
+            for d, m in generators for j in range(top if k > 1 else 1) if 2 ** j * d + 1 < top
+        ]
+    series = {(0, (0,) * width): 1}
+    for d, m in generators:
+        if d >= top:
+            continue
+        powers = range(2 if n == 1 else top)  # exterior at level 1
+        grown: dict = {}
+        for (degree, c), betti in series.items():
+            for power in powers:
+                if degree + power * d >= top:
+                    break
+                key = degree + power * d, tuple(x + power * y for x, y in zip(c, m))
+                grown[key] = grown.get(key, 0) + betti
+        series = grown
+    return series
+
+
 def serre_betti_z2(n, top):
     """F2 Betti numbers of K(Z/2,n) in degrees 0..top-1 from Serre's theorem,
     the sums over weights of serre_bigraded_z2."""
@@ -248,10 +281,10 @@ def _wrong_composite():
         if u.edges == 3:
             continue
         for r in hom_theta(s, t, 2):
-            if r.is_identity or not is_retraction(r):
+            if is_identity(r) or not is_retraction(r):
                 continue
             for m in hom_theta(t, u, 2):
-                if m.is_identity or not reedy_factor(m)[0].is_identity:
+                if is_identity(m) or not is_identity(reedy_factor(m)[0]):
                     continue
                 gamma_mr = gamma_n(compose_theta(m, r))
                 for w in hom_theta(s, u, 2):

@@ -12,7 +12,7 @@ import thetacomb
 from thetacomb.cli import BLOCK_LINES, main
 from thetacomb.counting import fib_numbers
 from thetacomb.presheaf import BoundarySquareError, homology_f2
-from thetacomb.trees import iter_trees
+from thetacomb.trees import enumerate_trees
 from thetacomb.verify import SUITES
 
 from test_acceptance import serre_betti_z2
@@ -299,7 +299,7 @@ def test_stdout_is_written_in_blocks(monkeypatch):
 
     # the 970 KB listing, of more than one block
     writes, out = run("trees", "--n", "3", "--edges", "12")
-    lines = [tree.render() for tree in iter_trees(3, 12)]
+    lines = [tree.render() for tree in enumerate_trees(3, 12)]
     assert len(lines) > BLOCK_LINES
     assert out == "".join(line + "\n" for line in lines)
     assert writes <= -(-len(lines) // BLOCK_LINES) + 1

@@ -10,22 +10,26 @@ from thetacomb.presheaf import (
     _f2_chains,
     chain_complex,
     em_cells,
+    em_cell_count,
     em_chains,
     em_set,
+    em_words,
     homology_f2,
     gf2_rank,
     is_nondegenerate,
     oracle_multisimplicial,
     shuffles,
+    word_cell,
 )
 from thetacomb.theta import codim1_faces, hom_theta, is_retraction, peel
 from thetacomb.trees import LEAF, enumerate_trees
 from thetacomb.simplex import SimplicialOperator
 
 from oracles import (
-    corolla, diagonal, em_elements, linear_tree, listed_set, parse_tree, product_set
+    corolla, diagonal, em_elements, is_identity, linear_tree, listed_set, parse_tree,
+    product_set,
 )
-from test_acceptance import serre_betti_z2, serre_bigraded_z2
+from test_acceptance import cartan_multigraded_z2, serre_betti_z2, serre_bigraded_z2
 from test_trees import is_pruned
 
 Z2 = parse_group("z2")
@@ -80,7 +84,7 @@ def test_reduce_examples():
     assert x.act(deg, y) == (a, (0,), b)
     # already reduced
     tree, deg, y = reduce_element(x, corolla(2), (a, b))
-    assert tree == corolla(2) and deg.is_identity and y == (a, b)
+    assert tree == corolla(2) and is_identity(deg) and y == (a, b)
     # all-neutral at n=2 collapses to the basepoint
     x2 = em_set(Z2, 2)
     t = parse_tree("[[[]],[[]]]")
@@ -168,7 +172,7 @@ def test_em_chains_match_theta_set_chains(spec, n, bound):
     # the labelled-tree boundary is the Theta_n-set boundary, matrix for matrix
     pi = parse_group(spec)
     bar, theta = em_chains(pi, n, bound), chain_complex(em_set(pi, n), bound)
-    assert bar.basis == theta.basis
+    assert [[word_cell(n, w) for w in layer] for layer in bar.basis] == theta.basis
     assert bar.boundary == theta.boundary
 
 
@@ -179,12 +183,13 @@ def test_z2_em_chains_keep_the_weight(n, bound, entries):
     # no face of a K(Z/2,n) cell changes its number of labels, so the
     # chains are the direct sum of their blocks of one weight
     c = em_chains(Z2, n, bound)
+    cells = [[word_cell(n, w) for w in layer] for layer in c.basis]
     found = 0
     for d in range(1, bound + 1):
-        for row, (_, labels) in zip(c.boundary[d], c.basis[d]):
+        for row, (_, labels) in zip(c.boundary[d], cells[d]):
             for i in range(row.bit_length()):
                 if row >> i & 1:
-                    assert len(c.basis[d - 1][i][1]) == len(labels)
+                    assert len(cells[d - 1][i][1]) == len(labels)
                     found += 1
     assert found == entries
 
@@ -195,9 +200,10 @@ def test_z2_em_chains_give_serres_bigraded_series(n, bound):
     # 2^l(I).  Ranking the boundary rows of one weight at a time sees a
     # face that leaks between weights, which a per-degree check cannot
     c = em_chains(Z2, n, bound)
+    cells = [[word_cell(n, w) for w in layer] for layer in c.basis]
 
     def block(d, w):
-        return [row for row, (_, labels) in zip(c.boundary[d], c.basis[d]) if len(labels) == w]
+        return [row for row, (_, labels) in zip(c.boundary[d], cells[d]) if len(labels) == w]
 
     betti = [
         [len(block(d, w)) - gf2_rank(block(d, w)) - gf2_rank(block(d + 1, w))
@@ -205,6 +211,81 @@ def test_z2_em_chains_give_serres_bigraded_series(n, bound):
         for d in range(bound)
     ]
     assert betti == serre_bigraded_z2(n, bound)
+
+
+def multidegree(n, word, width):
+    """The multidegree c of a K(Z/2,n) bar word: its level-1 letters are
+    its sub-words n - 1 deep, each x^a for its length a, and c_i counts
+    those whose a has bit i set."""
+    letters = [word]
+    for _ in range(n - 1):
+        letters = [letter for w in letters for letter in w]
+    return tuple(sum(len(letter) >> i & 1 for letter in letters) for i in range(width))
+
+
+@pytest.mark.parametrize("n, entries", [(1, 0), (2, 116), (3, 254), (4, 144)])
+def test_z2_em_chains_give_cartans_multigraded_series(n, entries):
+    # no face of a K(Z/2,n) cell changes its multidegree, which refines the
+    # weight, so ranking block by block sees a face that leaks between them
+    bound = 11
+    c = em_chains(Z2, n, bound)
+    keys = [[multidegree(n, w, bound.bit_length()) for w in layer] for layer in c.basis]
+    found = 0
+    for d in range(1, bound + 1):
+        for row, key in zip(c.boundary[d], keys[d]):
+            for i in range(row.bit_length()):
+                if row >> i & 1:
+                    assert keys[d - 1][i] == key
+                    found += 1
+    assert found == entries
+
+    def block(d, m):
+        return [row for row, key in zip(c.boundary[d], keys[d]) if key == m]
+
+    betti = {}
+    for d in range(bound):
+        for m in set(keys[d]):
+            b = len(block(d, m)) - gf2_rank(block(d, m)) - gf2_rank(block(d + 1, m))
+            if b:
+                betti[d, m] = b
+    assert betti == cartan_multigraded_z2(n, bound)
+
+
+def test_cartans_series_sum_to_serres_by_weight():
+    for n in range(1, 6):
+        by_weight = [[0] * 16 for _ in range(16)]
+        for (d, m), betti in cartan_multigraded_z2(n, 16).items():
+            by_weight[d][sum(x << i for i, x in enumerate(m))] += betti
+        assert by_weight == serre_bigraded_z2(n, 16), n
+
+
+@pytest.mark.parametrize("spec", ["z2", "z3", "z4", "z2xz2", "z6"])
+def test_em_words_are_counted_by_em_cell_count(spec):
+    pi = parse_group(spec)
+    for n in range(1, 5):
+        for d in range(n + 5):
+            assert len(em_words(pi, n, d)) == em_cell_count(pi, n, d), (n, d)
+
+
+def test_em_words_share_equal_sub_words():
+    # the fold builds each branch's words once, so within a layer equal
+    # sub-words, letters included, are one object
+    for spec, n, d in (("z2", 3, 9), ("z3", 2, 6), ("z2xz2", 3, 7), ("z4", 4, 7)):
+        seen: dict = {}
+        visits = 0
+
+        def walk(k, w):
+            nonlocal visits
+            visits += 1
+            assert seen.setdefault(w, w) is w, (spec, n, d, w)
+            if k:
+                for letter in w:
+                    walk(k - 1, letter)
+
+        for w in em_words(parse_group(spec), n, d):
+            for letter in w:
+                walk(n - 1, letter)
+        assert len(seen) < visits  # some sub-words recur
 
 
 def test_product_census():

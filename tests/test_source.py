@@ -184,29 +184,42 @@ def test_em_chains_has_no_level_1_fork():
     assert level_1_forks(inspect.getsource(presheaf.em_chains), "k") == []
 
 
+def is_method(node: ast.stmt) -> bool:
+    """True iff a class-body statement defines a non-dunder method or
+    property, which is called by attribute name, not by its class."""
+    return isinstance(node, ast.FunctionDef) and not (
+        node.name.startswith("__") and node.name.endswith("__"))
+
+
 def unreached_definitions(sources: dict[str, str], roots: list[str]) -> list[str]:
-    """The module-level definitions, as module.name, that no walk by name
-    from the roots reaches; sources maps each module's name to its source.
-    A definition reaches every definition, in any module, whose name its
-    statement mentions as an identifier or an attribute: a class's bases,
-    a decorator and a lambda in a table included.  An import is no mention."""
-    defs = {}
+    """The definitions, as module.name or module.Class.method, that no walk
+    by name from the roots reaches; sources maps each module's name to its
+    source.  A definition reaches every definition, in any module, whose
+    name its statement mentions as an identifier or an attribute: a class's
+    bases, a decorator and a lambda in a table included.  An import is no
+    mention.  A class reaches its dunder methods, which Python calls for
+    it, but a non-dunder method or property is a definition of its own,
+    reached only by a mention of its name."""
+    defs: dict[str, list[ast.AST]] = {}
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                targets = [node.name]
+            if isinstance(node, ast.ClassDef):
+                body = [stmt for stmt in node.body if not is_method(stmt)]
+                defs[f"{module}.{node.name}"] = [*node.bases, *node.decorator_list, *body]
+                defs.update((f"{module}.{node.name}.{stmt.name}", [stmt])
+                            for stmt in node.body if is_method(stmt))
+            elif isinstance(node, ast.FunctionDef):
+                defs[f"{module}.{node.name}"] = [node]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
-                targets = [target.id for target in nodes if isinstance(target, ast.Name)]
-            else:
-                continue
-            defs.update((f"{module}.{name}", node) for name in targets)
+                defs.update((f"{module}.{target.id}", [node])
+                            for target in nodes if isinstance(target, ast.Name))
     homes: dict[str, list[str]] = {}
     for qualified in defs:
-        homes.setdefault(qualified.split(".", 1)[1], []).append(qualified)
+        homes.setdefault(qualified.rsplit(".", 1)[1], []).append(qualified)
     reached, todo = set(roots), list(roots)
     while todo:
-        for node in ast.walk(defs[todo.pop()]):
+        for node in (n for top in defs[todo.pop()] for n in ast.walk(top)):
             if isinstance(node, ast.Name):
                 name = node.id
             elif isinstance(node, ast.Attribute):
@@ -230,10 +243,24 @@ def test_unreached_definitions_are_found():
     assert unreached_definitions(sources, ["a.main"]) == ["a.spare", "b.X", "b.lone"]
 
 
+def test_unreached_methods_are_found():
+    # a method or property counts as reached only by its name, and a
+    # class's own dunder methods by the class
+    sources = {
+        "a": "class Op:\n    def __init__(self):\n        self.size = width()\n"
+             "    def run(self):\n        return self.step\n"
+             "    @property\n    def step(self):\n        return 1\n"
+             "    @property\n    def spare(self):\n        return self.lone()\n"
+             "    def lone(self):\n        return 0\n"
+             "def width():\n    return 2\ndef main():\n    return Op().run()\n",
+    }
+    assert unreached_definitions(sources, ["a.main"]) == ["a.Op.lone", "a.Op.spare"]
+
+
 def test_every_definition_is_reached_by_a_command():
-    # src/ holds only what a command or a verify suite runs; oracles and
-    # fixtures that only the tests use live in tests/oracles.py, and
-    # __init__.py only re-exports names
+    # src/ holds only what a command or a verify suite runs, methods and
+    # properties included; oracles and fixtures that only the tests use
+    # live in tests/oracles.py, and __init__.py only re-exports names
     sources = {
         path.stem: path.read_text()
         for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "__init__.py"

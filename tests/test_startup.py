@@ -90,15 +90,19 @@ def test_each_command_loads_only_what_it_runs():
 
 
 # run CLI commands in a fresh interpreter and print their exit codes, the
-# modules among theta and simplex they loaded and the Gamma memo's size
+# number of tree shapes interned after each, the modules among theta and
+# simplex they loaded and the Gamma memo's size
 MEMO_SIZES = """
 import json, os, sys
 from thetacomb.cli import main
 sys.stdout = open(os.devnull, "w")
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
+codes, shapes = [], []
+for argv in json.loads(sys.argv[1]):
+    codes.append(main(argv))
+    shapes.append(len(sys.modules["thetacomb.trees"]._SHAPES))
 loaded = [m for m in ("thetacomb.theta", "thetacomb.simplex") if m in sys.modules]
 from thetacomb import gamma
-print(json.dumps([codes, loaded, gamma.compose_gamma.cache_info().currsize]),
+print(json.dumps([codes, shapes, loaded, gamma.compose_gamma.cache_info().currsize]),
       file=sys.__stdout__)
 """
 
@@ -114,7 +118,8 @@ def test_json_output_is_the_csv_table(name, capsys):
 
 def test_em_queries_fill_no_composition_memo():
     # the memory-bound em frontier never imports theta or simplex, so it
-    # composes no Theta or Delta operator, and it composes no Gamma operator
+    # composes no Theta or Delta operator, and it composes no Gamma operator;
+    # it folds words and leaf counts, so no tree but the leaf is interned
     commands = [
         ["em", "homology", "--n", "3", "--group", "z2", "--max-dim", "8"],
         ["em", "cells", "--n", "4", "--group", "z2", "--max-dim", "13"],
@@ -125,7 +130,7 @@ def test_em_queries_fill_no_composition_memo():
         env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [[0, 0], [], 0]
+    assert json.loads(result.stdout) == [[0, 0], [1, 1], [], 0]
 
 
 def test_every_export_resolves_to_the_object_in_its_home_module():

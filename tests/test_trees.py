@@ -9,12 +9,12 @@ from thetacomb.cli import main
 from thetacomb.gamma import parse_group
 from thetacomb.presheaf import em_cell_count, em_set
 from thetacomb.trees import (
-    LEAF, LevelTree, bracket, count_at_height, enumerate_pruned, enumerate_trees, iter_forests,
-    iter_trees,
+    LEAF, LevelTree, bracket, count_at_height, enumerate_trees, iter_forests,
 )
 
 from oracles import (
-    NGraph, TreeParseError, corolla, linear_tree, parse_tree, star, vertices_at_height
+    NGraph, TreeParseError, corolla, enumerate_pruned, linear_tree, parse_tree, star,
+    vertices_at_height,
 )
 
 
@@ -192,7 +192,7 @@ def test_forests_render_as_their_trees():
     # the bracket fold is what the trees command prints
     for n, e, pruned in _small_listings():
         rendered = [bracket(f) for f in iter_forests(n, e, pruned, bracket)]
-        assert [t.render() for t in iter_trees(n, e, pruned)] == rendered
+        assert [t.render() for t in map(LevelTree, iter_forests(n, e, pruned))] == rendered
 
 
 def test_the_leaf_fold_counts_the_leaves():
@@ -201,7 +201,7 @@ def test_the_leaf_fold_counts_the_leaves():
 
     for n, e, pruned in _small_listings():
         folded = [leaves(f) for f in iter_forests(n, e, pruned, leaves)]
-        listed = list(iter_trees(n, e, pruned))
+        listed = list(map(LevelTree, iter_forests(n, e, pruned)))
         assert folded == [t.render().count("[]") for t in listed]
         if pruned:  # every leaf at height n
             assert folded == [count_at_height(t, n) for t in listed]
@@ -221,7 +221,7 @@ def test_streamed_roots_are_not_interned(capsys):
 
 def test_em_bases_keep_the_oracle_order():
     # the basis order feeds every boundary matrix
-    for group in ("z2", "z3"):
+    for group in ("z2", "z3", "z4", "z2xz2"):
         pi = parse_group(group)
         for n in range(1, 4):
             cells = em_set(pi, n).cells
