@@ -49,10 +49,6 @@ class GammaOperator(HashConsed):
                     raise GammaShapeError(f"element {v} appears twice")
                 seen.add(v)
 
-    def __call__(self, i: int) -> tuple[int, ...]:
-        """The i-th subset, 1-based."""
-        return self.subsets[i - 1]
-
 
 def identity_gamma(n: int) -> GammaOperator:
     return GammaOperator(n, n, tuple((i,) for i in range(1, n + 1)))
@@ -67,8 +63,8 @@ def compose_gamma(g: GammaOperator, f: GammaOperator) -> GammaOperator:
             f"cannot compose {f.source}->{f.target} with {g.source}->{g.target}"
         )
     subsets = tuple(
-        tuple(sorted(itertools.chain.from_iterable(g(j) for j in f(i))))
-        for i in range(1, f.source + 1)
+        tuple(sorted(itertools.chain.from_iterable(g.subsets[j - 1] for j in sub)))
+        for sub in f.subsets
     )
     return GammaOperator(f.source, g.target, subsets)
 

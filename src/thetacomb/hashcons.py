@@ -4,8 +4,8 @@ A hash-consed class keeps one object per value, so equality is identity
 and an object hashes by its id (Filliatre and Conchon, "Type-safe
 modular hash-consing", ML Workshop 2006).  The level-trees, the Delta,
 Gamma and Theta_n operators and the one small value class,
-FiniteAbelianGroup, derive from HashConsed; all but LevelTree keep
-their objects in intern's table.
+FiniteAbelianGroup, derive from HashConsed and keep their objects in
+the one table, intern's.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import functools
 
 class HashConsed:
     """Base of a hash-consed class: _fields names its fields, its __new__
-    returns intern(cls, *fields) and _build checks a new value.  Equality
+    returns intern(cls, *fields) and _build checks a new value and sets
+    the slots derived from its fields, such as a tree's height.  Equality
     is identity and the hash is id's, both in C; the object is frozen, and
     copy, deepcopy and pickle return it."""
 

@@ -43,9 +43,6 @@ class SimplicialOperator(HashConsed):
                 )
             prev = v
 
-    def __call__(self, i: int) -> int:
-        return self.values[i]
-
     @property
     def is_injective(self) -> bool:
         return all(b > a for a, b in zip(self.values, self.values[1:]))

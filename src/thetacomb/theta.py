@@ -171,15 +171,10 @@ def nth_theta(source: LevelTree, target: LevelTree, n: int, i: int) -> ThetaOper
 # --- retractions and monomorphisms ------------------------------------
 
 
-def _every_level(f: ThetaOperator, test: Callable[[ThetaOperator], bool]) -> bool:
-    """True iff test holds for f and, recursively, for every component."""
-    return test(f) and all(_every_level(c, test) for row in f.components for c in row)
-
-
 def is_retraction(f: ThetaOperator) -> bool:
     """True iff phi is a monotone surjection and every block is empty or a
     singleton whose operator is recursively a retraction."""
-    return _every_level(f, lambda g: g.phi.is_surjective)
+    return f.phi.is_surjective and all(is_retraction(c) for row in f.components for c in row)
 
 
 @functools.cache

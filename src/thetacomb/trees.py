@@ -7,8 +7,8 @@ structure, its bracket-string rendering, and enumeration of all trees
 or only the pruned ones (every leaf at height n).
 
 Trees are hash-consed (hashcons.HashConsed): there is one LevelTree
-object per shape, kept in the table _SHAPES, so tree equality is
-identity and a tree hashes by id.
+object per shape, kept in intern's table like every other value, so
+tree equality is identity and a tree hashes by id.
 Enumeration generates the trees already in lexicographic order of their
 bracket strings and streams them: no sort and no memo, each listing
 builds its candidate children per height afresh.  It is a fold: a tree is
@@ -21,35 +21,28 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterator
 
-from .hashcons import HashConsed
-
-# children tuple -> the one LevelTree with those children
-_SHAPES: dict[tuple, "LevelTree"] = {}
+from .hashcons import HashConsed, intern
 
 
 class LevelTree(HashConsed):
     """Planar rooted tree, hash-consed: LevelTree(children) returns the one
-    object with that tuple of (themselves unique) children.  _SHAPES is
-    keyed by the children alone, which saves intern's key tuple per shape,
-    and height and edges are set once per shape."""
+    object with that tuple of (themselves unique) children; its height and
+    edges are set once per shape."""
 
     __slots__ = ("children", "height", "edges")
     _fields = ("children",)
 
     def __new__(cls, children: tuple["LevelTree", ...] = ()) -> "LevelTree":
-        self = _SHAPES.get(children)
-        if self is None:  # a new shape; a plain loop is the cheapest here
-            height = edges = 0
-            for c in children:
-                edges += 1 + c.edges
-                if c.height >= height:
-                    height = c.height + 1
-            self = object.__new__(cls)
-            object.__setattr__(self, "children", children)
-            object.__setattr__(self, "height", height)
-            object.__setattr__(self, "edges", edges)
-            _SHAPES[children] = self
-        return self
+        return intern(cls, children)
+
+    def _build(self):
+        height = edges = 0
+        for c in self.children:  # a plain loop is the cheapest here
+            edges += 1 + c.edges
+            if c.height >= height:
+                height = c.height + 1
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "edges", edges)
 
     def render(self) -> str:
         """The bracket encoding, joined from the children's."""

@@ -9,13 +9,14 @@ representables), and the Fibonacci generating function."""
 from __future__ import annotations
 
 import itertools
+from typing import Callable
 
 from thetacomb.gamma import FiniteAbelianGroup, GammaOperator
 from thetacomb.hashcons import HashConsed, intern
 from thetacomb.presheaf import FiniteThetaSet, is_nondegenerate
 from thetacomb.simplex import SimplicialOperator, identity_delta
 from thetacomb.theta import (
-    ThetaOperator, _every_level, compose_theta, hom_theta, identity_theta, reedy_factor
+    ThetaOperator, compose_theta, hom_theta, identity_theta, reedy_factor
 )
 from thetacomb.trees import LEAF, LevelTree, count_at_height, enumerate_trees, iter_forests
 
@@ -145,6 +146,11 @@ def star(tree: LevelTree, n: int) -> NGraph:
 # --- operators ---------------------------------------------------------
 
 
+def _every_level(f: ThetaOperator, test: Callable[[ThetaOperator], bool]) -> bool:
+    """True iff test holds for f and, recursively, for every component."""
+    return test(f) and all(_every_level(c, test) for row in f.components for c in row)
+
+
 def is_identity(f: SimplicialOperator | ThetaOperator) -> bool:
     """True iff the Delta or Theta_n operator f is an identity: for Theta_n,
     at every level the source is the target and phi is an identity."""
@@ -191,7 +197,7 @@ def classify_delta(f: SimplicialOperator) -> DeltaClass:
         kind = "degeneracy"
     else:
         kind = "mixed"
-    inner = f(0) == 0 and f(f.source) == f.target
+    inner = f.values[0] == 0 and f.values[-1] == f.target
     outer = all(b - a == 1 for a, b in zip(f.values, f.values[1:]))
     return DeltaClass(kind, inner, outer)
 
@@ -200,7 +206,7 @@ def segal_gamma(f: SimplicialOperator) -> GammaOperator:
     """Segal's functor gamma: [m] goes to m_bar and the i-th subset of
     gamma(f) is the half-open block {j | f(i-1) < j <= f(i)}."""
     subsets = tuple(
-        tuple(range(f(i - 1) + 1, f(i) + 1)) for i in range(1, f.source + 1)
+        tuple(range(a + 1, b + 1)) for a, b in zip(f.values, f.values[1:])
     )
     return GammaOperator(f.source, f.target, subsets)
 

@@ -148,7 +148,7 @@ def _vertex_images(f, path):
     goes to (k, *p) for k in f's block i and p in the image of rest under
     the operator of row i at k."""
     i, rest = path[0], path[1:]
-    block = range(f.phi(i - 1) + 1, f.phi(i) + 1)
+    block = range(f.phi.values[i - 1] + 1, f.phi.values[i] + 1)
     if f.level == 1:
         return [(k,) for k in block]
     return [

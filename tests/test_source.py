@@ -138,10 +138,7 @@ def test_every_memo_is_functools_cache():
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         source = path.read_text()
         assert lru_cache_uses(source) == [], path.name
-        found = empty_globals(source)
-        if path.name == "trees.py":  # the shape table that hash-conses LevelTree
-            found = [name for name in found if not name.startswith("_SHAPES ")]
-        assert found == [], path.name
+        assert empty_globals(source) == [], path.name
 
 
 def level_1_forks(source: str, name: str = "n") -> list[int]:

@@ -90,16 +90,17 @@ def test_each_command_loads_only_what_it_runs():
 
 
 # run CLI commands in a fresh interpreter and print their exit codes, the
-# number of tree shapes interned after each, the modules among theta and
-# simplex they loaded and the Gamma memo's size
+# number of trees alive after each, all of them interned, the modules among
+# theta and simplex they loaded and the Gamma memo's size
 MEMO_SIZES = """
-import json, os, sys
+import gc, json, os, sys
 from thetacomb.cli import main
 sys.stdout = open(os.devnull, "w")
 codes, shapes = [], []
 for argv in json.loads(sys.argv[1]):
     codes.append(main(argv))
-    shapes.append(len(sys.modules["thetacomb.trees"]._SHAPES))
+    tree = sys.modules["thetacomb.trees"].LevelTree
+    shapes.append(sum(isinstance(x, tree) for x in gc.get_objects()))
 loaded = [m for m in ("thetacomb.theta", "thetacomb.simplex") if m in sys.modules]
 from thetacomb import gamma
 print(json.dumps([codes, shapes, loaded, gamma.compose_gamma.cache_info().currsize]),

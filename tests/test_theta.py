@@ -264,7 +264,7 @@ def test_hom_matches_brute_force_blockwise_count():
         for phi in hom_delta(len(s.children), len(t.children)):
             prod = 1
             for i in range(1, len(s.children) + 1):
-                for k in range(phi(i - 1) + 1, phi(i) + 1):
+                for k in range(phi.values[i - 1] + 1, phi.values[i] + 1):
                     prod *= len(
                         hom_theta(s.children[i - 1], t.children[k - 1], 1)
                     )
@@ -328,14 +328,14 @@ def wreath_compose(g, f):
     rows = []
     for i in range(1, f.phi.source + 1):
         row = []
-        for l in range(phi(i - 1) + 1, phi(i) + 1):
+        for l in range(phi.values[i - 1] + 1, phi.values[i] + 1):
             (k,) = [
                 k
-                for k in range(f.phi(i - 1) + 1, f.phi(i) + 1)
-                if g.phi(k - 1) < l <= g.phi(k)
+                for k in range(f.phi.values[i - 1] + 1, f.phi.values[i] + 1)
+                if g.phi.values[k - 1] < l <= g.phi.values[k]
             ]
-            g_kl = g.components[k - 1][l - g.phi(k - 1) - 1]
-            f_ik = f.components[i - 1][k - f.phi(i - 1) - 1]
+            g_kl = g.components[k - 1][l - g.phi.values[k - 1] - 1]
+            f_ik = f.components[i - 1][k - f.phi.values[i - 1] - 1]
             row.append(wreath_compose(g_kl, f_ik))
         rows.append(tuple(row))
     return ThetaOperator(f.level, f.source, g.target, phi, tuple(rows))

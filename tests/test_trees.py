@@ -4,9 +4,9 @@ import pickle
 
 import pytest
 
-from thetacomb import trees
 from thetacomb.cli import main
 from thetacomb.gamma import parse_group
+from thetacomb.hashcons import intern
 from thetacomb.presheaf import em_cell_count, em_set
 from thetacomb.trees import (
     LEAF, LevelTree, bracket, count_at_height, enumerate_trees, iter_forests,
@@ -208,13 +208,14 @@ def test_the_leaf_fold_counts_the_leaves():
 
 
 def test_streamed_roots_are_not_interned(capsys):
-    # the trees command and the census fold to strings and counts
-    before = len(trees._SHAPES)
+    # the trees command and the census fold to strings and counts, so they
+    # intern no value, trees included
+    z2 = parse_group("z2")
+    before = intern.cache_info().currsize
     assert main(["trees", "--n", "4", "--edges", "12", "--pruned"]) == 0
     printed = capsys.readouterr().out
-    z2 = parse_group("z2")
     census = [em_cell_count(z2, 2, d) for d in range(23)]
-    assert len(trees._SHAPES) == before
+    assert intern.cache_info().currsize == before
     assert census[22] == 10946  # with z2 one cell per shape
     assert printed == "".join(t.render() + "\n" for t in enumerate_pruned(4, 12))
 
