@@ -13,8 +13,9 @@ built, down to its components: the one in row i over target branch k has
 level n - 1 and runs from source branch i to target branch k, and no
 tree is taller than n.
 
-Provides composition (the components through a memo of Theta_{n-1}'s
-composition, the top level unmemoised), identities, hom enumeration and
+Provides composition, one kernel that composes a batch of operators
+after one f (the components through a memo of Theta_{n-1}'s composition,
+the top level unmemoised), identities, hom enumeration and
 a hom-set's i-th operator built alone, the retraction and monomorphism
 tests with Reedy factorization, the codimension-1 faces into a tree
 generated from the wreath structure (which the cellular boundary uses),
@@ -32,7 +33,7 @@ from __future__ import annotations
 import functools
 from itertools import accumulate, combinations, islice, product
 from math import prod
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .gamma import GammaOperator, identity_gamma
 from .simplex import SimplicialOperator, compose_delta, hom_delta, identity_delta
@@ -58,7 +59,7 @@ class ThetaOperator(HashConsed):
     def __init__(self, *args, **kwargs):
         """A no-op that takes the constructor's arguments, so that a wrapper
         counting constructor calls (perfbench's tracer) can pass them on.
-        compose_theta interns its composites without the constructor, so
+        compose_after interns its composites without the constructor, so
         such a wrapper does not see them."""
 
     def _build(self):
@@ -94,29 +95,56 @@ def identity_theta(tree: LevelTree, n: int) -> ThetaOperator:
     return ThetaOperator(n, tree, tree, identity_delta(len(tree.children)), rows)
 
 
+def compose_after(gs: Iterable[ThetaOperator], f: ThetaOperator) -> list[ThetaOperator]:
+    """The composites g after f, for each g in gs in turn, componentwise at
+    every level: row i of g after f is, for each operator of f's row i, g's
+    row over its target branch composed after it, through the memoised
+    _compose_component.  f's rows are read once, into _plan(f); a composite
+    whose phi is constant has every row empty and skips the row loop.  The
+    first refused g raises ThetaCompositionError.  Composites go straight
+    to the intern table, with no constructor call; a new one is checked by
+    _build there."""
+    out = []
+    plan = None
+    level, source, f_phi = f.level, f.source, f.phi
+    for g in gs:
+        if g.level != level:
+            raise ThetaCompositionError("level mismatch")
+        if g.source is not f.target:
+            raise ThetaCompositionError("endpoint mismatch")
+        if plan is None:
+            plan, empty = _plan(f)
+        phi = compose_delta(g.phi, f_phi)
+        if phi.values[0] == phi.values[-1]:
+            rows = empty
+        else:
+            g_rows = g.components
+            rows = []
+            for f_row in plan:
+                row = []
+                for k, f_c in f_row:
+                    for g_c in g_rows[k]:
+                        row.append(_compose_component(g_c, f_c))
+                rows.append(tuple(row))
+            rows = tuple(rows)
+        out.append(intern(ThetaOperator, level, source, g.target, phi, rows))
+    return out
+
+
+@functools.cache
+def _plan(f: ThetaOperator) -> tuple[tuple, tuple]:
+    """f's rows as compose_after reads them, each operator paired with k,
+    the index of its target branch's row in g; and f's rows all empty,
+    the rows of a composite whose phi is constant."""
+    return (
+        tuple(tuple(enumerate(row, start)) for row, start in zip(f.components, f.phi.values)),
+        ((),) * len(f.components),
+    )
+
+
 def compose_theta(g: ThetaOperator, f: ThetaOperator) -> ThetaOperator:
-    """The composite g after f, componentwise at every level: row i of the
-    composite is, for each operator of f's row i in turn, g's row over its
-    target branch composed after it, through the memoised _compose_component.
-    The composite is looked up in the intern table directly, with no
-    constructor call; a new one is checked by _build there."""
-    if f.level != g.level:
-        raise ThetaCompositionError("level mismatch")
-    if f.target is not g.source:
-        raise ThetaCompositionError("endpoint mismatch")
-    phi = compose_delta(g.phi, f.phi)
-    rows = []
-    for f_row, start in zip(f.components, f.phi.values):
-        if not f_row:
-            rows.append(())
-            continue
-        row = []
-        # f_c lands on target branch k + 1, whose row in g is g.components[k]
-        for k, f_c in enumerate(f_row, start):
-            for g_c in g.components[k]:
-                row.append(_compose_component(g_c, f_c))
-        rows.append(tuple(row))
-    return intern(ThetaOperator, f.level, f.source, g.target, phi, tuple(rows))
+    """The composite g after f, through compose_after."""
+    return compose_after((g,), f)[0]
 
 
 # Theta_{n-1}'s composition as the rows of a level-n composite use it.  The

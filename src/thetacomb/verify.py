@@ -27,6 +27,7 @@ from .presheaf import (
 )
 from .theta import (
     ThetaOperator,
+    compose_after,
     compose_theta,
     gamma_n,
     hom_size,
@@ -60,10 +61,11 @@ def composition_table(s: LevelTree, t: LevelTree, u: LevelTree) -> tuple[bytes, 
     """Row i, byte j: the index in hom_theta(s, u, 2) of g_j . f_i, for f_i in
     hom_theta(s, t, 2) and g_j in hom_theta(t, u, 2) (the sample's hom-sets
     have at most 35 operators).  Each composable pair is composed once per
-    process; a composite outside hom_theta(s, u, 2) raises KeyError."""
+    process, a row's pairs in one compose_after call; a composite outside
+    hom_theta(s, u, 2) raises KeyError."""
     pos, hom_tu = _positions(s, u), hom_theta(t, u, 2)
     return tuple(
-        bytes(map(pos.__getitem__, map(compose_theta, hom_tu, itertools.repeat(f))))
+        bytes(map(pos.__getitem__, compose_after(hom_tu, f)))
         for f in hom_theta(s, t, 2)
     )
 

@@ -30,6 +30,7 @@ from thetacomb.presheaf import (
 )
 from thetacomb import verify
 from thetacomb.theta import (
+    compose_after,
     compose_theta,
     gamma_n,
     hom_theta,
@@ -295,16 +296,17 @@ def _wrong_composite():
 
 @contextlib.contextmanager
 def composing_wrongly():
-    """verify composes with _wrong_composite's w in place of m . r, from a
-    cleared composition table; the table is cleared again on the way out."""
+    """verify's composition table composes with _wrong_composite's w in
+    place of m . r, from a cleared table; the table is cleared again on the
+    way out."""
     m, r, w = _wrong_composite()
 
-    def wrong_compose(g, f):
-        return w if (g, f) == (m, r) else compose_theta(g, f)
+    def wrong_compose_after(gs, f):
+        return [w if (g, f) == (m, r) else gf for g, gf in zip(gs, compose_after(gs, f))]
 
     verify.composition_table.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "compose_theta", wrong_compose)
+        patch.setattr(verify, "compose_after", wrong_compose_after)
         yield
     verify.composition_table.cache_clear()
 

@@ -102,8 +102,9 @@ for argv in json.loads(sys.argv[1]):
     tree = sys.modules["thetacomb.trees"].LevelTree
     shapes.append(sum(isinstance(x, tree) for x in gc.get_objects()))
 loaded = [m for m in ("thetacomb.theta", "thetacomb.simplex") if m in sys.modules]
-from thetacomb import gamma
-print(json.dumps([codes, shapes, loaded, gamma.compose_gamma.cache_info().currsize]),
+from thetacomb import gamma, theta
+memos = (gamma.compose_gamma, theta._compose_component, theta._plan)
+print(json.dumps([codes, shapes, loaded, [memo.cache_info().currsize for memo in memos]]),
       file=sys.__stdout__)
 """
 
@@ -119,8 +120,9 @@ def test_json_output_is_the_csv_table(name, capsys):
 
 def test_em_queries_fill_no_composition_memo():
     # the memory-bound em frontier never imports theta or simplex, so it
-    # composes no Theta or Delta operator, and it composes no Gamma operator;
-    # it folds words and leaf counts, so no tree but the leaf is interned
+    # composes no Theta or Delta operator and plans no Theta composition,
+    # and it composes no Gamma operator; it folds words and leaf counts, so
+    # no tree but the leaf is interned
     commands = [
         ["em", "homology", "--n", "3", "--group", "z2", "--max-dim", "8"],
         ["em", "cells", "--n", "4", "--group", "z2", "--max-dim", "13"],
@@ -131,7 +133,7 @@ def test_em_queries_fill_no_composition_memo():
         env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [[0, 0], [1, 1], [], 0]
+    assert json.loads(result.stdout) == [[0, 0], [1, 1], [], [0, 0, 0]]
 
 
 def test_every_export_resolves_to_the_object_in_its_home_module():

@@ -23,9 +23,11 @@ from thetacomb.theta import (
     ThetaOperator,
     ThetaShapeError,
     _compose_component,
+    _plan,
     _shuffle_pairs,
     codim1_faces,
     codim1_retractions,
+    compose_after,
     compose_theta,
     gamma_n,
     hom_size,
@@ -363,13 +365,12 @@ def test_compose_endpoint_errors():
         compose_theta(g, f)
 
 
-MEMOS = (compose_delta, compose_gamma, _compose_component)
+MEMOS = (compose_delta, compose_gamma, _compose_component, _plan)
 
 
-def test_compose_memos_are_transparent():
-    # the components go through the memoised composite, the top level not
-    assert _compose_component.__wrapped__ is compose_theta
-    assert not hasattr(compose_theta, "cache_info")
+def composable_pairs():
+    """(g, f) for every composable pair over the level-2 trees with at most
+    2 edges, then 100 random pairs over the level-3 trees with at most 4."""
     rng = random.Random(1)
     trees3 = all_trees(3, 4)
     pairs = [
@@ -381,6 +382,14 @@ def test_compose_memos_are_transparent():
     for _ in range(100):
         s, t, u = (rng.choice(trees3) for _ in range(3))
         pairs.append((rng.choice(hom_theta(t, u, 3)), rng.choice(hom_theta(s, t, 3))))
+    return pairs
+
+
+def test_compose_memos_are_transparent():
+    # the components go through the memoised composite, the top level not
+    assert _compose_component.__wrapped__ is compose_theta
+    assert not hasattr(compose_theta, "cache_info")
+    pairs = composable_pairs()
     composites = [compose_theta(g, f) for g, f in pairs]
     assert [_compose_component(g, f) for g, f in pairs] == composites
     for memo in MEMOS:
@@ -388,16 +397,48 @@ def test_compose_memos_are_transparent():
     assert all(compose_theta(g, f) is gf for (g, f), gf in zip(pairs, composites))
 
 
+def test_a_batch_composes_as_its_pairs_do():
+    # one compose_after call per f, over every g that f's pairs hold, into
+    # every target: the same objects as one compose_theta call per pair
+    batches = {}
+    for g, f in composable_pairs():
+        batches.setdefault(f, []).append(g)
+    shortcut = loop = 0
+    for f, gs in batches.items():
+        composites = compose_after(gs, f)
+        assert all(map(operator.is_, composites, [compose_theta(g, f) for g in gs]))
+        assert composites == [wreath_compose(g, f) for g in gs]
+        for gf in composites:
+            if gf.phi.values[0] == gf.phi.values[-1]:
+                shortcut += bool(gf.source.children)
+            else:
+                loop += 1
+    # both branches run: constant phi over a source with branches, and not
+    assert shortcut and loop
+
+
 def test_refused_composites_leave_no_memo_entry():
     f = hom_theta(corolla(1), corolla(2), 2)[0]
     level_1 = hom_theta(corolla(2), corolla(1), 1)[0]
+    g = hom_theta(corolla(2), corolla(1), 2)[0]
+    refused = ((f, "endpoint mismatch"), (level_1, "level mismatch"))
+    for memo in MEMOS:
+        memo.cache_clear()
     before = [memo.cache_info().currsize for memo in MEMOS]
-    for compose in (compose_theta, _compose_component):
-        for g, message in ((f, "endpoint mismatch"), (level_1, "level mismatch")):
+
+    def refused_first(bad, f):
+        return compose_after((bad, g), f)
+
+    for compose in (compose_theta, _compose_component, refused_first):
+        for bad, message in refused:
             for _ in range(2):
                 with pytest.raises(ThetaCompositionError, match=message):
-                    compose(g, f)
+                    compose(bad, f)
                 assert [memo.cache_info().currsize for memo in MEMOS] == before
+    # a refused g after an accepted one raises as it would alone
+    for bad, message in refused:
+        with pytest.raises(ThetaCompositionError, match=message):
+            compose_after((g, bad), f)
 
 
 def test_is_retraction():
