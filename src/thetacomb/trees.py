@@ -11,9 +11,10 @@ object per shape, kept in intern's table like every other value, so
 tree equality is identity and a tree hashes by id.
 Enumeration generates the trees already in lexicographic order of their
 bracket strings and streams them: no sort and no memo, each listing
-builds its candidate children per height afresh.  It is a fold: a tree is
-node(its children's values), LevelTree by default, and a listing folded
-with bracket, a leaf count or labelled bar words interns no tree.
+builds its branches per height afresh, and only those of the edge counts
+that some listed tree can hold.  It is a fold: a tree is node(its
+children's values), LevelTree by default, and a listing folded with
+bracket, a leaf count or labelled bar words interns no tree.
 """
 
 from __future__ import annotations
@@ -69,41 +70,55 @@ def count_at_height(tree: LevelTree, h: int) -> int:
     return sum(count_at_height(c, h - 1) for c in tree.children)
 
 
-def _forests(kids: list, high: int, slack: int, least: int) -> Iterator[tuple]:
-    """The forests over kids, (value, edges) pairs in bracket order, whose
-    weight, edges plus one per branch, lies in [high - slack, high], as
-    (values, weight) pairs in bracket order.  A forest sorts after its
-    extensions, because ',' < ']', so the stack walk yields it after all of
-    them.  A rest with 0 < rest <= least fits no branch; it is skipped
-    unless the forest may end there.  Each stack entry carries its forest
-    as an immutable tuple, the parent's plus one value, which is yielded
-    as it is."""
-    # weight left -> the kids that fit in it
-    fits = [[kid for kid in kids if kid[1] < w and not slack < w - 1 - kid[1] <= least]
-            for w in range(high + 1)]
-    stack = [(iter(fits[high]), high, ())]
+def _forests(h: int, ends, pruned: bool, node) -> Iterator[tuple]:
+    """The forests over the trees of height <= h - 1 (pruned: every leaf at
+    h - 1) folded by node, whose weight, edges plus one per branch, lies in
+    ends, as (values, weight) pairs in bracket order.  A forest sorts after
+    its extensions, because ',' < ']', so the stack walk yields it after
+    them.  A rest r with 0 < r <= least fits no branch, so only branches
+    that leave a rest of 0 or more than least are built and pushed: every
+    push leads to a yielded forest.  The walk pushes onto one shared list of
+    values and copies it only to yield; a forest of the top weight extends
+    to none, so it is yielded where its last branch is found."""
+    least = h - 1 if pruned else 0  # a pruned branch has >= h - 1 edges
+    sizes = {k for w in ends for k in range(least, w) if not 0 < w - 1 - k <= least}
+    kids = _ordered(h - 1, sizes, pruned, node)
+    top = max(ends)
+    # edges -> the weights so far after which a branch with them fits
+    at = {e: [w for w in range(top - e) if w + 1 + e in ends or w + 1 + e < top - least]
+          for e in {e for _, e in kids}}
+    fits = [[] for _ in range(top + 1)]  # weight so far -> its kids, in bracket order
+    for kid in kids:
+        for w in at[kid[1]]:
+            fits[w].append(kid)
+    branch = []
+    push, pop = branch.append, branch.pop
+    stack = [(iter(fits[0]), 0)]
     while stack:
-        options, left, forest = stack[-1]
+        options, w = stack[-1]
         for value, e in options:
-            stack.append((iter(fits[left - 1 - e]), left - 1 - e, forest + (value,)))
+            e += w + 1
+            if e == top:  # no branch extends it: yield it, not push it
+                yield (*branch, value), e
+                continue
+            push(value)
+            stack.append((iter(fits[e]), e))
             break
         else:
             stack.pop()
-            if left <= slack:
-                yield forest, high - left
+            if w in ends:
+                yield tuple(branch), w
+            if stack:  # the root entry holds no branch
+                pop()
 
 
-def _ordered(h: int, most: int, pruned: bool, node) -> list[tuple]:
+def _ordered(h: int, sizes: set, pruned: bool, node) -> list[tuple]:
     """(node value, edges) for the trees of height <= h, or if pruned those
-    with every leaf at height h, with at most `most` edges, in bracket order."""
-    if most < 0:
-        return []
-    if h == 0:
-        return [(node(()), 0)]
-    kids = _ordered(h - 1, most - 1, pruned, node)
-    # a pruned tree of height h >= 1 has a branch, so weight >= 1
-    return [(node(forest), e)
-            for forest, e in _forests(kids, most, most - pruned, h - 1 if pruned else 0)]
+    with every leaf at height h, whose edge count lies in sizes, in bracket
+    order."""
+    if h == 0 or not sizes:
+        return [(node(()), 0)] if 0 in sizes else []
+    return [(node(forest), e) for forest, e in _forests(h, sizes, pruned, node)]
 
 
 def iter_forests(n: int, e: int, pruned: bool = False, node=LevelTree) -> Iterator[tuple]:
@@ -119,8 +134,7 @@ def iter_forests(n: int, e: int, pruned: bool = False, node=LevelTree) -> Iterat
         raise ValueError("pruned enumeration needs n >= 1")
     if e == 0 or n == 0 or pruned and e < n:  # a pruned n-tree has >= n edges
         return iter([()] if e == 0 and not pruned else [])
-    kids = _ordered(n - 1, e - 1, pruned, node)  # a pruned branch has >= n - 1 edges
-    return map(itemgetter(0), _forests(kids, e, 0, n - 1 if pruned else 0))
+    return map(itemgetter(0), _forests(n, (e,), pruned, node))
 
 
 def enumerate_trees(n: int, e: int) -> list[LevelTree]:

@@ -137,7 +137,7 @@ def oracle_listing(n, e, pruned=False):
 
 @pytest.mark.parametrize("pruned", [False, True])
 def test_generated_order_matches_sorted_oracle(pruned):
-    for n in range(1 if pruned else 0, 5):
+    for n in range(1 if pruned else 0, 6):
         for e in range(11):
             want = oracle_listing(n, e, pruned)
             got = enumerate_pruned(n, e) if pruned else enumerate_trees(n, e)
@@ -183,7 +183,7 @@ def test_a_shape_is_frozen():
 
 def _small_listings():
     for pruned in (False, True):
-        for n in range(1 if pruned else 0, 5):
+        for n in range(1 if pruned else 0, 6):
             for e in range(11):
                 yield n, e, pruned
 
@@ -193,6 +193,26 @@ def test_forests_render_as_their_trees():
     for n, e, pruned in _small_listings():
         rendered = [bracket(f) for f in iter_forests(n, e, pruned, bracket)]
         assert [t.render() for t in map(LevelTree, iter_forests(n, e, pruned))] == rendered
+
+
+def test_the_fold_builds_only_what_it_lists():
+    # every value that node returns is a branch of some listed tree: no
+    # work goes to a branch that no listed tree can hold
+    for n, e, pruned in _small_listings():
+        built = []
+
+        def node(kids):
+            built.append([kids])  # a fresh object per call
+            return built[-1]
+
+        reached = set()
+        todo = [value for forest in iter_forests(n, e, pruned, node) for value in forest]
+        while todo:
+            value = todo.pop()
+            if id(value) not in reached:
+                reached.add(id(value))
+                todo.extend(value[0])
+        assert {id(value) for value in built} == reached, (n, e, pruned)
 
 
 def test_the_leaf_fold_counts_the_leaves():
